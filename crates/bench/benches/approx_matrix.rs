@@ -26,7 +26,7 @@ use bench::save_figure;
 use silvervale::{index_app, model_matrix};
 use std::time::Instant;
 use svcorpus::App;
-use svdist::{ted_shared, CostModel, DistanceMatrix, SharedTree, Strategy};
+use svdist::{ted, CostModel, DistanceMatrix, SharedTree};
 use svmetrics::{approx_tree_matrix, divergence_matrix_seq, Measured, Metric, Variant};
 use svtree::Tree;
 
@@ -144,7 +144,7 @@ fn corpus() -> Vec<String> {
     (0..UNITS).map(|u| rendered[u % FAMILIES][(u / FAMILIES) % VARIANTS].clone()).collect()
 }
 
-/// The exact cold path over pre-extracted trees: one `ted_shared` per
+/// The exact cold path over pre-extracted trees: one `ted` per
 /// pair in LPT order with the structural-hash short-circuit — the same
 /// per-cell work as `divergence_matrix` on a tree metric.
 fn exact_matrix(labels: &[String], trees: &[SharedTree]) -> DistanceMatrix {
@@ -160,7 +160,7 @@ fn exact_matrix(labels: &[String], trees: &[SharedTree]) -> DistanceMatrix {
             }
         },
         |i, j| {
-            let d = ted_shared(&trees[i], &trees[j], CostModel::UNIT, Strategy::Auto);
+            let d = ted(&trees[i], &trees[j], CostModel::UNIT);
             d as f64 / trees[i].size().max(trees[j].size()).max(1) as f64
         },
     )

@@ -26,7 +26,7 @@ use silvervale::index_app;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 use svcorpus::App;
-use svdist::{ted, ted_shared, CostModel, DistanceMatrix, SharedTree, Strategy};
+use svdist::{ted, CostModel, DistanceMatrix, SharedTree, Strategy};
 use svmetrics::{Measured, Metric, Variant};
 use svserve::cached::{matrix_cell, pair_cached, FpArtifact};
 use svserve::TedCache;
@@ -85,11 +85,13 @@ fn main() {
     let reference = reference.unwrap();
 
     // -- cold, decompose per pair (current kernel) -------------------------
+    // Fresh shared wrappers per pair: nothing memoised survives the pair.
     let mut t_per_pair = Vec::new();
     for _ in 0..COLD_ITERS {
         let (ms, m) = time(|| {
             DistanceMatrix::from_fn(labels.clone(), |i, j| {
-                let d = ted(&trees[i], &trees[j]);
+                let fresh = |t: &Tree| SharedTree::new(t.clone());
+                let d = ted(&fresh(&trees[i]), &fresh(&trees[j]), CostModel::UNIT);
                 cell(d, trees[i].size() as u64, trees[j].size() as u64)
             })
         });
@@ -103,7 +105,7 @@ fn main() {
         let shared: Vec<SharedTree> = trees.iter().map(|t| SharedTree::new(t.clone())).collect();
         let (ms, m) = time(|| {
             DistanceMatrix::from_fn(labels.clone(), |i, j| {
-                let d = ted_shared(&shared[i], &shared[j], CostModel::UNIT, Strategy::Auto);
+                let d = ted(&shared[i], &shared[j], CostModel::UNIT);
                 cell(d, shared[i].size() as u64, shared[j].size() as u64)
             })
         });

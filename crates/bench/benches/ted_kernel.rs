@@ -4,18 +4,16 @@
 //! `BENCH_matrix.json` showed cold divergence-matrix builds are
 //! DP-dominated (~47 ms/pair on the CloverLeaf Fig. 8 workload), so this
 //! bench isolates the kernel itself: the same 45 `T_sem` pairs are solved
-//! by every ablation stage of the kernel —
+//! by every kernel —
 //!
 //! * `baseline` — the PR 4 kernel: fresh zero-initialised `u64` tables
 //!   per pair, branchy inner loop,
-//! * `arena` — thread-local scratch arena, no per-pair allocation or
-//!   zero-initialisation,
-//! * `arena+u32` — plus width-adaptive cells (unit costs fit `u32`,
-//!   halving DP memory traffic),
-//! * `arena+u32+split` — plus branch-split inner loops (the `lld`
-//!   whole-tree test leaves the innermost loop, column metadata is hoisted
-//!   per tree pair, borders come from cost ramps, and the insert scan is
-//!   unrolled 4-wide) — the PR 5 scalar kernel,
+//! * `arena+u32+split` — the scalar kernel: a thread-local scratch arena
+//!   (no per-pair allocation or zero-initialisation), width-adaptive cells
+//!   (unit costs fit `u32`, halving DP memory traffic) and branch-split
+//!   inner loops (the `lld` whole-tree test leaves the innermost loop,
+//!   column metadata is hoisted per tree pair, borders come from cost
+//!   ramps, and the insert scan is unrolled 4-wide),
 //! * `simd` — plus the row-wavefront vector kernel (`svdist::simd`):
 //!   a weighted Kogge–Stone prefix-min scan replaces the loop-carried
 //!   insert chain, with a lane-width cascade for short rows,
@@ -24,15 +22,15 @@
 //! full DP on a duplicated-tree workload (S-vs-P ports share many
 //! unported units, so hash-equal pairs are common in practice).
 //!
-//! Each stage is also placed on a roofline (Williams, Waterman &
+//! Each kernel is also placed on a roofline (Williams, Waterman &
 //! Patterson): `cells_per_sec` is measured, `bytes_per_cell` comes from a
 //! documented per-cell traffic model, and the memory-bandwidth ceiling is
 //! `peak_bw / bytes_per_cell` with peak DRAM bandwidth measured by a
-//! STREAM-triad loop in this same process.  A stage running well below
+//! STREAM-triad loop in this same process.  A kernel running well below
 //! its bandwidth ceiling is compute-bound — the justification for
 //! spending vector lanes on the min/add chain rather than on traffic.
 //!
-//! Every stage must produce identical distances; the gates require the
+//! Every kernel must produce identical distances; the gates require the
 //! scalar production kernel ≥2× baseline, the SIMD kernel ≥1.5× the
 //! scalar production kernel, and the short-circuit ≥2× the full DP.
 //! Medians land in `BENCH_ted_kernel.json` at the repository root.
@@ -41,8 +39,8 @@ use bench::save_figure;
 use silvervale::index_app;
 use std::time::Instant;
 use svcorpus::App;
-use svdist::ted::{dp_cell_estimate, ted_with, ted_with_mode, KernelMode};
-use svdist::{active_kernel_name, CostModel, DistanceMatrix, Strategy};
+use svdist::ted::{dp_cell_estimate, ted_with_mode, KernelMode};
+use svdist::{active_kernel_name, ted, CostModel, DistanceMatrix, SharedTree, Strategy};
 use svtree::Tree;
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -84,10 +82,10 @@ fn triad_peak_bw() -> f64 {
 /// its own `fd` slot and reads the cell above, the diagonal, the detach
 /// pair (an `fd` gather + a `td` load), and per-column metadata
 /// (`lld` + label): 5 reads + 1 write of one cell width, plus ~4 bytes
-/// of metadata.  The u64 stages move 8-byte cells, u32 stages 4-byte.
+/// of metadata.  The baseline moves 8-byte cells, the others 4-byte.
 fn bytes_per_cell(mode: KernelMode) -> f64 {
     match mode {
-        KernelMode::Baseline | KernelMode::Arena => 6.0 * 8.0 + 4.0,
+        KernelMode::Baseline => 6.0 * 8.0 + 4.0,
         _ => 6.0 * 4.0 + 4.0,
     }
 }
@@ -103,16 +101,16 @@ fn main() {
     let cells: u64 =
         pairs.iter().map(|&(i, j)| dp_cell_estimate(&trees[i], &trees[j], Strategy::Auto)).sum();
 
-    // -- ablation: all 45 pairs through each kernel stage ------------------
+    // -- all 45 pairs through each kernel ----------------------------------
     // `ted_with_mode` skips the hash short-circuit and rebuilds the
-    // decompositions per call in every mode, so the stages differ only in
+    // decompositions per call in every mode, so the modes differ only in
     // the DP kernel itself.  Modes are interleaved round-robin within
     // each iteration so slow machine drift (thermal, co-tenants) lands on
     // every mode equally instead of biasing whichever block ran first.
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); KernelMode::ABLATION.len()];
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); KernelMode::ALL.len()];
     let mut reference: Option<Vec<u64>> = None;
     for _ in 0..ITERS {
-        for (k, mode) in KernelMode::ABLATION.into_iter().enumerate() {
+        for (k, mode) in KernelMode::ALL.into_iter().enumerate() {
             let (ms, dists) = time(|| {
                 pairs
                     .iter()
@@ -129,9 +127,8 @@ fn main() {
         }
     }
     let med: Vec<f64> = samples.into_iter().map(median).collect();
-    let (baseline_ms, arena_ms, narrow_ms, full_ms, simd_ms) =
-        (med[0], med[1], med[2], med[3], med[4]);
-    for (mode, ms) in KernelMode::ABLATION.iter().zip(&med) {
+    let (baseline_ms, full_ms, simd_ms) = (med[0], med[1], med[2]);
+    for (mode, ms) in KernelMode::ALL.iter().zip(&med) {
         eprintln!("{:>18}: {ms:.1} ms", mode.name());
     }
     let kernel_speedup = baseline_ms / full_ms;
@@ -157,7 +154,7 @@ fn main() {
     // -- roofline placement -------------------------------------------------
     let peak_bw = triad_peak_bw();
     eprintln!("triad peak bandwidth: {:.2} GB/s", peak_bw / 1e9);
-    let roofline: Vec<String> = KernelMode::ABLATION
+    let roofline: Vec<String> = KernelMode::ALL
         .iter()
         .zip(&med)
         .map(|(mode, ms)| {
@@ -187,9 +184,11 @@ fn main() {
 
     // -- short-circuit: duplicated trees, with and without ----------------
     // Each model paired with a clone of itself: structurally hash-equal,
-    // exactly the unported-unit case.  `ted_with` answers from the hashes;
-    // `ted_with_mode` is forced through the full DP.
-    let dups: Vec<Tree> = trees.iter().map(|t| t.clone()).collect();
+    // exactly the unported-unit case.  `ted` answers from the memoised
+    // hashes; `ted_with_mode` is forced through the full DP.
+    let dups: Vec<Tree> = trees.to_vec();
+    let shared: Vec<SharedTree> = trees.iter().map(|t| SharedTree::new(t.clone())).collect();
+    let shared_dups: Vec<SharedTree> = dups.iter().map(|t| SharedTree::new(t.clone())).collect();
     let full_dp = |mode_full: bool| {
         (0..trees.len())
             .map(|i| {
@@ -202,7 +201,7 @@ fn main() {
                         KernelMode::Full,
                     )
                 } else {
-                    ted_with(&trees[i], &dups[i], CostModel::UNIT, Strategy::Auto)
+                    ted(&shared[i], &shared_dups[i], CostModel::UNIT)
                 }
             })
             .collect::<Vec<u64>>()
@@ -231,12 +230,8 @@ fn main() {
          \"dp_cells\": {cells},\n  \
          \"kernel\": \"{kernel}\",\n  \
          \"baseline_ms\": {baseline_ms:.3},\n  \
-         \"arena_ms\": {arena_ms:.3},\n  \
-         \"arena_u32_ms\": {narrow_ms:.3},\n  \
          \"arena_u32_split_ms\": {full_ms:.3},\n  \
          \"simd_ms\": {simd_ms:.3},\n  \
-         \"speedup_arena\": {sp_arena:.3},\n  \
-         \"speedup_arena_u32\": {sp_narrow:.3},\n  \
          \"speedup_full_kernel\": {kernel_speedup:.3},\n  \
          \"speedup_simd\": {simd_speedup:.3},\n  \
          \"dup_full_dp_ms\": {dup_dp_ms:.3},\n  \
@@ -244,23 +239,22 @@ fn main() {
          \"speedup_short_circuit\": {sc_speedup:.3},\n  \
          \"triad_peak_bw_gbs\": {bw:.3},\n  \
          \"roofline\": [\n{roofline}\n  ],\n  \
-         \"note\": \"ablation over the same 45 decompose-per-pair solves: the branch-split \
-         scalar stage carries 2.2x over the PR 4 baseline; the roofline places every stage \
-         compute-bound, two ways — the u64 stages run ABOVE their DRAM-bandwidth ceiling, \
-         which is only possible when the DP tables are served from cache (td for these \
-         trees is a few MB, well inside LLC), and the three u32 stages move byte-identical \
-         traffic yet spread ~4x in cells/s, so traffic cannot be the limiter — the wall is \
-         the loop-carried insert min/add chain, which the simd stage replaces with a \
-         weighted Kogge-Stone prefix-min scan over row wavefronts (lane cascade for short \
-         rows, widest tier first): that is where speedup_simd comes from; bytes_per_cell \
-         is the documented traffic model (5 reads + 1 write of one cell plus ~4 B column \
-         metadata), not a counter measurement; the short-circuit rows pair each tree with \
-         a clone of itself (the unported-unit case) — distance 0 from memoised hashes, \
-         no DP\"\n}}\n",
+         \"note\": \"the same 45 decompose-per-pair solves through each kernel: the \
+         branch-split scalar kernel carries speedup_full_kernel over the PR 4 baseline (the \
+         arena-only stages without u32 cells or split loops measured 0.89x and 0.955x of \
+         the baseline and were retired); the roofline places every kernel compute-bound, \
+         two ways — the u64 baseline runs ABOVE its DRAM-bandwidth ceiling, which is only \
+         possible when the DP tables are served from cache (td for these trees is a few MB, \
+         well inside LLC), and the two u32 kernels move byte-identical traffic yet differ \
+         by speedup_simd in cells/s, so traffic cannot be the limiter — the wall is the \
+         loop-carried insert min/add chain, which the simd kernel replaces with a weighted \
+         Kogge-Stone prefix-min scan over row wavefronts (lane cascade for short rows, \
+         widest tier first); bytes_per_cell is the documented traffic model (5 reads + 1 \
+         write of one cell plus ~4 B column metadata), not a counter measurement; the \
+         short-circuit rows pair each tree with a clone of itself (the unported-unit case) \
+         — distance 0 from memoised hashes, no DP\"\n}}\n",
         np = pairs.len(),
         kernel = active_kernel_name(),
-        sp_arena = baseline_ms / arena_ms,
-        sp_narrow = baseline_ms / narrow_ms,
         bw = peak_bw / 1e9,
         roofline = roofline.join(",\n"),
     );

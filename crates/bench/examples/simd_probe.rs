@@ -1,5 +1,6 @@
 //! Quick SIMD-vs-scalar kernel probe: one timed sweep of the Fig. 8 pair
-//! set per mode (`SV_SIMD_LEVEL`/`SV_NO_SIMD` select the lane tier).
+//! set per mode, on the widest lane tier the CPU supports (`SV_NO_SIMD=1`
+//! forces the scalar kernel).
 //! For tuning iterations only — the gated numbers come from
 //! `bench/benches/ted_kernel.rs`.
 

@@ -7,10 +7,13 @@
 //! this crate provides the from-scratch equivalent:
 //!
 //! * [`mod@ted`] — the classic Zhang–Shasha `O(n² · min(depth, leaves)²)`
-//!   algorithm, plus a path-strategy variant in the spirit of APTED that
-//!   chooses between left-path and right-path decompositions per call to cut
-//!   the number of relevant subproblems, and a brute-force oracle used by
-//!   the property-test suite.
+//!   algorithm behind four entries over [`SharedTree`]s (exact, threshold,
+//!   memory-bounded, edit-op split).  Each pair solves over whichever of
+//!   the left-path and right-path decompositions has fewer relevant
+//!   subproblems, in the spirit of APTED's path strategies.  A scalar
+//!   kernel, a SIMD kernel and two oracles (the allocating PR 4 kernel
+//!   and a brute-force recursion) are pinned against each other by the
+//!   property-test suite.
 //! * [`seq`] — sequence distances for the `Source` metric: the
 //!   Wu–Manber–Myers `O(NP)` comparison algorithm (the one inside `diff`,
 //!   used by the paper through the `dtl` library), classic LCS, Levenshtein,
@@ -21,7 +24,7 @@
 //! * [`lowerbound`] — cheap admissible lower bounds on TED (label
 //!   histogram + binary-branch grams) backing the approximate-first
 //!   corpus engine; paired with the threshold kernel
-//!   [`ted_within`](ted::ted_within), which solves a pair exactly only
+//!   [`ted_within`], which solves a pair exactly only
 //!   when its distance can still be ≤ a caller-supplied threshold.
 //!
 //! All distances are exact (lower bounds are admissible, never
@@ -40,7 +43,7 @@ pub use matrix::DistanceMatrix;
 pub use seq::{edit_distance_onp, jaccard_divergence, lcs_len, levenshtein};
 pub use shared::SharedTree;
 pub use ted::{
-    active_kernel_name, cell_width, decompose_count, edit_stats, edit_stats_shared,
-    memory_estimate, memory_estimate_with, ted, ted_bounded, ted_shared, ted_with, ted_within,
-    ted_within_shared, CellWidth, CostModel, EditStats, PostTree, Strategy, TedError,
+    active_kernel_name, cell_width, decompose_count, edit_stats, memory_estimate,
+    memory_estimate_with, ted, ted_bounded, ted_within, CellWidth, CostModel, EditStats, PostTree,
+    Strategy, TedError,
 };

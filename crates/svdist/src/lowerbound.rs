@@ -197,13 +197,13 @@ pub fn pqgram_lb(a: &TreeProfile, b: &TreeProfile, costs: CostModel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ted::{ted_with, Strategy};
+    use crate::ted::{ted_with_mode, KernelMode, Strategy};
 
     fn check(a: &Tree, b: &Tree, costs: CostModel) {
         let (pa, pb) = (TreeProfile::build(a), TreeProfile::build(b));
         let hist = label_histogram_lb(&pa, &pb, costs);
         let pq = pqgram_lb(&pa, &pb, costs);
-        let exact = ted_with(a, b, costs, Strategy::Auto);
+        let exact = ted_with_mode(a, b, costs, Strategy::Auto, KernelMode::Simd);
         assert!(hist <= pq, "hist {hist} > pqgram {pq}");
         assert!(pq <= exact, "pqgram {pq} > ted {exact}");
     }

@@ -72,7 +72,7 @@ impl SharedTree {
     }
 
     /// Whether both decompositions are already materialised (i.e. further
-    /// [`crate::ted_shared`] calls on this tree will not decompose again).
+    /// [`ted`](fn@crate::ted) calls on this tree will not decompose again).
     pub fn views_ready(&self) -> bool {
         self.0.left.get().is_some() && self.0.right.get().is_some()
     }
@@ -121,7 +121,7 @@ impl fmt::Display for SharedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ted::{decompose_count, ted, ted_shared, CostModel, Strategy};
+    use crate::ted::{decompose_count, ted, ted_with_mode, CostModel, KernelMode, Strategy};
 
     fn t(s: &str) -> Tree {
         Tree::from_sexpr(s).unwrap()
@@ -154,18 +154,14 @@ mod tests {
             .iter()
             .map(|s| SharedTree::new(t(s)))
             .collect();
-        let expect: Vec<u64> = peers.iter().map(|p| ted(&a, p)).collect();
         // Warm every tree's views.
-        for p in &peers {
-            let _ = ted_shared(&a, p, CostModel::UNIT, Strategy::Auto);
-        }
+        let expect: Vec<u64> = peers.iter().map(|p| ted(&a, p, CostModel::UNIT)).collect();
         assert!(a.views_ready());
         // OnceLock views are pointer-stable: warm compares reuse the exact
         // same decompositions instead of rebuilding.
         let (l1, r1): (*const PostTree, *const PostTree) = (a.left(), a.right());
         for (p, want) in peers.iter().zip(&expect) {
-            let d = ted_shared(&a, p, CostModel::UNIT, Strategy::Auto);
-            assert_eq!(d, *want);
+            assert_eq!(ted(&a, p, CostModel::UNIT), *want);
         }
         assert_eq!(l1, a.left() as *const PostTree);
         assert_eq!(r1, a.right() as *const PostTree);
@@ -174,6 +170,8 @@ mod tests {
 
     #[test]
     fn shared_equals_plain_ted() {
+        // Memoized views give the fresh-build oracle's distances under
+        // every strategy and kernel.
         let cases = [
             ("(f (d a (c b)) e)", "(f (c (d a b)) e)"),
             ("(a (b c d) e)", "(a (b c) (e d))"),
@@ -181,13 +179,13 @@ mod tests {
         ];
         for (sa, sb) in cases {
             let (ta, tb) = (t(sa), t(sb));
-            let (xa, xb) = (SharedTree::new(ta.clone()), SharedTree::new(tb.clone()));
+            let d =
+                ted(&SharedTree::new(ta.clone()), &SharedTree::new(tb.clone()), CostModel::UNIT);
             for strat in [Strategy::Left, Strategy::Right, Strategy::Auto] {
-                assert_eq!(
-                    ted_shared(&xa, &xb, CostModel::UNIT, strat),
-                    crate::ted_with(&ta, &tb, CostModel::UNIT, strat),
-                    "{sa} vs {sb} {strat:?}"
-                );
+                for mode in KernelMode::ALL {
+                    let oracle = ted_with_mode(&ta, &tb, CostModel::UNIT, strat, mode);
+                    assert_eq!(d, oracle, "{sa} vs {sb} {strat:?} {mode:?}");
+                }
             }
         }
     }

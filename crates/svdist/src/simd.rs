@@ -90,17 +90,6 @@ pub(crate) enum Level {
     Avx512,
 }
 
-impl Level {
-    /// The lower of two tiers (declaration order is capability order).
-    fn min_of(self, other: Level) -> Level {
-        if (self as u8) < (other as u8) {
-            self
-        } else {
-            other
-        }
-    }
-}
-
 struct Detection {
     level: Level,
     name: &'static str,
@@ -113,17 +102,7 @@ fn detection() -> &'static Detection {
         if forced {
             return Detection { level: Level::None, name: "scalar (SV_NO_SIMD)" };
         }
-        let detected = detect();
-        // SV_SIMD_LEVEL caps (never raises) the tier — bench ablations and
-        // CI pin a lane width with it; an unsupported or unknown value is
-        // ignored rather than dispatching unavailable instructions.
-        let capped = match std::env::var_os("SV_SIMD_LEVEL") {
-            Some(v) if v == "sse4.1" => Level::Sse41.min_of(detected),
-            Some(v) if v == "avx2" => Level::Avx2.min_of(detected),
-            Some(v) if v == "avx512f" => Level::Avx512.min_of(detected),
-            _ => detected,
-        };
-        match capped {
+        match detect() {
             Level::Avx512 => Detection { level: Level::Avx512, name: "simd-avx512f" },
             Level::Avx2 => Detection { level: Level::Avx2, name: "simd-avx2" },
             Level::Sse41 => Detection { level: Level::Sse41, name: "simd-sse4.1" },
@@ -150,14 +129,9 @@ fn detect() -> Level {
     Level::None
 }
 
-/// Cached lane level (env override + CPUID, resolved once per process).
+/// Cached lane level (`SV_NO_SIMD` + CPUID, resolved once per process).
 pub(crate) fn level() -> Level {
     detection().level
-}
-
-/// Whether the production dispatch will use lanes at all.
-pub(crate) fn enabled() -> bool {
-    level() != Level::None
 }
 
 /// Kernel name for operator surfaces (`svdist::active_kernel_name`).
@@ -200,9 +174,14 @@ fn within_ok(n: usize, m: usize, costs: CostModel, tau: u64) -> bool {
 /// Exact TED via lanes; `None` means "not applicable here — run the
 /// scalar kernel" (no lanes, forced scalar, or a pair `exact_ok` rejects).
 pub(crate) fn exact(a: &PostTree, b: &PostTree, costs: CostModel) -> Option<u64> {
+    exact_at(level(), a, b, costs)
+}
+
+/// [`exact`] on the lane tier `lvl`, which the caller guarantees the CPU
+/// supports.
+fn exact_at(lvl: Level, a: &PostTree, b: &PostTree, costs: CostModel) -> Option<u64> {
     #[cfg(target_arch = "x86_64")]
     {
-        let lvl = level();
         if lvl == Level::None || !exact_ok(a.len(), b.len(), costs) {
             return None;
         }
@@ -221,7 +200,7 @@ pub(crate) fn exact(a: &PostTree, b: &PostTree, costs: CostModel) -> Option<u64>
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (a, b, costs);
+        let _ = (lvl, a, b, costs);
         None
     }
 }
@@ -235,9 +214,20 @@ pub(crate) fn within(
     costs: CostModel,
     tau: u64,
 ) -> Option<Option<u64>> {
+    within_at(level(), a, b, costs, tau)
+}
+
+/// [`within`] on the lane tier `lvl`, which the caller guarantees the CPU
+/// supports.
+fn within_at(
+    lvl: Level,
+    a: &PostTree,
+    b: &PostTree,
+    costs: CostModel,
+    tau: u64,
+) -> Option<Option<u64>> {
     #[cfg(target_arch = "x86_64")]
     {
-        let lvl = level();
         if lvl == Level::None || !within_ok(a.len(), b.len(), costs, tau) {
             return None;
         }
@@ -256,7 +246,7 @@ pub(crate) fn within(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (a, b, costs, tau);
+        let _ = (lvl, a, b, costs, tau);
         None
     }
 }
@@ -1299,8 +1289,7 @@ mod tests {
 
     #[test]
     fn detection_is_consistent() {
-        // One cached decision: the name must agree with the level, and the
-        // production mode must agree with `enabled()`.
+        // One cached decision: the name must agree with the level.
         let name = kernel_name();
         match level() {
             Level::Avx512 => assert_eq!(name, "simd-avx512f"),
@@ -1308,7 +1297,76 @@ mod tests {
             Level::Sse41 => assert_eq!(name, "simd-sse4.1"),
             Level::None => assert!(name.starts_with("scalar"), "{name}"),
         }
-        assert_eq!(enabled(), level() != Level::None);
+    }
+
+    /// Every lane tier this CPU supports, narrowest first.
+    fn host_tiers() -> Vec<Level> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            [
+                (Level::Sse41, is_x86_feature_detected!("sse4.1")),
+                (Level::Avx2, is_x86_feature_detected!("avx2")),
+                (Level::Avx512, is_x86_feature_detected!("avx512f")),
+            ]
+            .into_iter()
+            .filter_map(|(lvl, ok)| ok.then_some(lvl))
+            .collect()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn every_host_tier_matches_the_scalar_kernels() {
+        // Production dispatch only ever runs the widest tier, so each
+        // narrower tier's full exact and banded kernels are checked here,
+        // against the scalar `Full` and `zs_within` kernels.  The wide-fan
+        // pairs reach the 16-lane blocks; the random pairs mix short rows
+        // and non-unit costs.
+        use crate::ted::tests::bushy;
+        use crate::ted::{ted_with_mode, ted_within_with_mode, KernelMode, Strategy};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use svtree::Tree;
+
+        let unit = [CostModel::UNIT];
+        let mixed = [CostModel::UNIT, CostModel { delete: 2, insert: 3, relabel: 5 }];
+        let mut cases: Vec<(Tree, Tree, &[CostModel])> = vec![
+            (bushy(900, 40, "p"), bushy(900, 37, "q"), &unit),
+            (bushy(900, 23, "p"), bushy(900, 61, "q"), &unit),
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut random_tree = |n: usize| {
+            let mut t = Tree::leaf("r");
+            let mut ids = vec![t.root().unwrap()];
+            for _ in 1..n {
+                let parent = ids[rng.gen_range(0..ids.len())];
+                ids.push(t.push_child(parent, ["a", "b", "c", "d"][rng.gen_range(0..4)], None));
+            }
+            t
+        };
+        for _ in 0..16 {
+            cases.push((random_tree(60), random_tree(45), &mixed));
+        }
+        let tiers = host_tiers();
+        for (a, b, costs) in &cases {
+            let (pa, pb) = (PostTree::build(a, false), PostTree::build(b, false));
+            for &c in costs.iter() {
+                let exact = ted_with_mode(a, b, c, Strategy::Left, KernelMode::Full);
+                for &lvl in &tiers {
+                    assert_eq!(exact_at(lvl, &pa, &pb, c), Some(exact), "{lvl:?} {c:?}");
+                }
+                for tau in [0, exact.saturating_sub(1), exact, exact + 1, 2 * exact + 3] {
+                    let want = ted_within_with_mode(a, b, c, Strategy::Left, tau, KernelMode::Full);
+                    assert_eq!(want, (exact <= tau).then_some(exact), "scalar banded, tau={tau}");
+                    for &lvl in &tiers {
+                        let got = within_at(lvl, &pa, &pb, c, tau);
+                        assert_eq!(got, Some(want), "{lvl:?} {c:?} tau={tau}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,28 +6,34 @@
 //! all operations and strips programmer-chosen names beforehand so that
 //! relabelling only fires on genuinely different token types.
 //!
-//! Four implementations live here:
+//! Four production entry points take [`SharedTree`]s, whose memoized
+//! structural hashes and path decompositions are reused across every pair
+//! a tree joins:
 //!
-//! * [`Strategy::Left`] — textbook Zhang–Shasha over left-path (LR-keyroot)
-//!   decomposition,
-//! * [`Strategy::Right`] — the mirrored decomposition (right paths); TED is
-//!   invariant under simultaneous mirroring of both trees,
-//! * [`Strategy::Auto`] — estimates the number of relevant subproblems of
-//!   both decompositions and picks the cheaper, which is the core idea of
-//!   APTED's optimal path strategies in miniature,
-//! * [`naive_ted`] — an exponential-with-memo forest recursion used as the
-//!   correctness oracle for small trees in property tests.
-//!
-//! Two *bounded* entry points wrap the kernel, and they bound different
-//! resources — don't confuse them:
-//!
-//! * [`ted_bounded`] is a **memory-budget pre-check**: it refuses (without
+//! * [`ted`] — the exact distance,
+//! * [`ted_within`] — the **distance-threshold kernel**: given a threshold
+//!   `tau` it answers `Some(exact)` iff the distance is ≤ `tau` and `None`
+//!   otherwise, running a banded DP that skips every cell whose
+//!   forest-size imbalance already proves its value exceeds `tau`,
+//! * [`ted_bounded`] — a **memory-budget pre-check**: it refuses (without
 //!   allocating) when the DP tables would exceed a byte budget, then runs
-//!   the ordinary exact solve.  It never exits early on distance.
-//! * [`ted_within`] is the **distance-threshold kernel**: given a
-//!   threshold `tau` it answers `Some(exact)` iff the distance is ≤ `tau`
-//!   and `None` otherwise, running a banded DP that skips every cell whose
-//!   forest-size imbalance already proves its value exceeds `tau`.
+//!   the ordinary exact solve.  It never exits early on distance,
+//! * [`edit_stats`] — the insert/delete/relabel split of an optimal script.
+//!
+//! All four answer empty and structurally equal pairs without any DP, and
+//! otherwise solve over the path decomposition [`Strategy::Auto`] picks:
+//! left paths (textbook Zhang–Shasha LR-keyroots) or right paths (the
+//! mirrored trees; TED is invariant under mirroring both), whichever has
+//! fewer relevant subproblems — APTED's optimal path strategies in
+//! miniature.  The choice is input-driven and pays: on the paper's
+//! corpora it takes the mirrored side for most pairs and cuts DP cells to
+//! about three quarters of Left (EXPERIMENTS.md).
+//!
+//! The `#[doc(hidden)]` oracle entries [`ted_with_mode`] and
+//! [`ted_within_with_mode`] take plain [`Tree`]s, a [`Strategy`] and a
+//! [`KernelMode`], and skip the hash short-circuit; property tests and the
+//! kernel bench pin every kernel against each other and against
+//! [`naive_ted`], an exponential-with-memo forest recursion.
 //!
 //! Returned distances are `u64`; the DP cells are **width-adaptive**.  A
 //! single-pair distance is bounded by `delete·|T1| + insert·|T2|`, and the
@@ -41,11 +47,14 @@
 //! zero-initialised: Zhang–Shasha finalises every cell under its own
 //! keyroot pair before any later pair reads it (DESIGN §13).
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use svtree::{Interner, NodeId, Tree};
+
+use crate::SharedTree;
 
 /// Process-wide count of [`PostTree`] decomposition builds.
 ///
@@ -85,7 +94,8 @@ impl CostModel {
     pub const UNIT: CostModel = CostModel { delete: 1, insert: 1, relabel: 1 };
 }
 
-/// Which path decomposition the solver uses.
+/// Which path decomposition the solver uses.  Production entries always
+/// run `Auto`; the oracle entries take the choice as an argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Zhang–Shasha over left paths (LR-keyroots).
@@ -147,100 +157,63 @@ pub fn cell_width(n: usize, m: usize, costs: CostModel) -> CellWidth {
     }
 }
 
-/// Unit-cost TED with the default (auto) strategy.
+/// Exact TED.
 ///
 /// ```
+/// use svdist::{ted, CostModel, SharedTree};
 /// use svtree::Tree;
-/// let a = Tree::from_sexpr("(f (c a b) d)").unwrap();
-/// let b = Tree::from_sexpr("(f a (d b))").unwrap();
+/// let a = SharedTree::new(Tree::from_sexpr("(f (c a b) d)").unwrap());
+/// let b = SharedTree::new(Tree::from_sexpr("(f a (d b))").unwrap());
 /// // delete c, relabel nothing, move is expressed as delete+insert:
 /// // the optimal script needs 3 unit operations.
-/// assert_eq!(svdist::ted(&a, &b), 3);
+/// assert_eq!(ted(&a, &b, CostModel::UNIT), 3);
 /// ```
-pub fn ted(a: &Tree, b: &Tree) -> u64 {
-    ted_with(a, b, CostModel::UNIT, Strategy::Auto)
+pub fn ted(a: &SharedTree, b: &SharedTree, costs: CostModel) -> u64 {
+    if let Some(d) = trivial(a, b, costs) {
+        return d;
+    }
+    let (pa, pb) = auto_pair(a, b);
+    exact_kernel(pa, pb, costs)
 }
 
-/// TED with explicit costs and strategy.
-pub fn ted_with(a: &Tree, b: &Tree, costs: CostModel, strategy: Strategy) -> u64 {
-    // Cheap short-circuits: empty trees and structurally identical trees.
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 0,
-        (true, false) => return b.size() as u64 * u64::from(costs.insert),
-        (false, true) => return a.size() as u64 * u64::from(costs.delete),
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return 0;
-    }
-    let (pa, pb) = build_decompositions(a, b, strategy);
-    zhang_shasha(&pa, &pb, costs, production_kernel_mode())
+/// The distance of a pair that needs no DP: an empty side costs
+/// inserting or deleting the other whole, and structurally equal trees
+/// (S-vs-P ports share many unported units) are 0 apart by their memoized
+/// hashes.
+fn trivial(a: &SharedTree, b: &SharedTree, costs: CostModel) -> Option<u64> {
+    empty_side(a, b, costs).or_else(|| {
+        (a.size() == b.size() && a.structural_hash() == b.structural_hash()).then_some(0)
+    })
 }
 
-/// Build each side's decomposition at most once: Auto estimates both
-/// candidates from the same `PostTree`s the solver then consumes, instead
-/// of rebuilding the chosen one from scratch.
+/// [`Strategy::Auto`]: of the left and right decomposition pairs, the one
+/// with fewer estimated relevant subproblems — `Σ|span(kr1)| · Σ|span(kr2)|`
+/// over keyroot pairs, both factors precomputed by [`PostTree::build`].
+/// Ties go left.
+fn auto_pick<P: Borrow<PostTree>>(left: (P, P), right: (P, P)) -> (P, P) {
+    let cost = |(a, b): &(P, P)| u128::from(a.borrow().span_sum) * u128::from(b.borrow().span_sum);
+    if cost(&left) <= cost(&right) {
+        left
+    } else {
+        right
+    }
+}
+
+/// The Auto choice over the trees' memoized decompositions.
+fn auto_pair<'t>(a: &'t SharedTree, b: &'t SharedTree) -> (&'t PostTree, &'t PostTree) {
+    auto_pick((a.left(), b.left()), (a.right(), b.right()))
+}
+
+/// Fresh decompositions for the oracle entries and [`dp_cell_estimate`]:
+/// Auto estimates both candidates from the same `PostTree`s the solver
+/// then consumes, instead of rebuilding the chosen one.
 fn build_decompositions(a: &Tree, b: &Tree, strategy: Strategy) -> (PostTree, PostTree) {
+    let build = |mirrored| (PostTree::build(a, mirrored), PostTree::build(b, mirrored));
     match strategy {
-        Strategy::Left => (PostTree::build(a, false), PostTree::build(b, false)),
-        Strategy::Right => {
-            // Mirror both trees (reverse all child lists); TED is preserved.
-            (PostTree::build(a, true), PostTree::build(b, true))
-        }
-        Strategy::Auto => {
-            let left = (PostTree::build(a, false), PostTree::build(b, false));
-            let right = (PostTree::build(a, true), PostTree::build(b, true));
-            if decomposition_cost(&left.0, &left.1) <= decomposition_cost(&right.0, &right.1) {
-                left
-            } else {
-                right
-            }
-        }
+        Strategy::Left => build(false),
+        Strategy::Right => build(true),
+        Strategy::Auto => auto_pick(build(false), build(true)),
     }
-}
-
-/// TED over [`SharedTree`]s: identical results to [`ted_with`], but the
-/// structural-hash short-circuit and the path decompositions come from the
-/// trees' memoized views instead of being rebuilt per pair.  In an N-way
-/// divergence matrix this turns O(N²) decomposition builds into O(N), and
-/// hash-equal pairs (S-vs-P ports share many unported units) return 0
-/// without running any DP at all.
-pub fn ted_shared(
-    a: &crate::SharedTree,
-    b: &crate::SharedTree,
-    costs: CostModel,
-    strategy: Strategy,
-) -> u64 {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 0,
-        (true, false) => return b.size() as u64 * u64::from(costs.insert),
-        (false, true) => return a.size() as u64 * u64::from(costs.delete),
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return 0;
-    }
-    let (pa, pb) = match strategy {
-        Strategy::Left => (a.left(), b.left()),
-        Strategy::Right => (a.right(), b.right()),
-        Strategy::Auto => {
-            let left = (a.left(), b.left());
-            let right = (a.right(), b.right());
-            if decomposition_cost(left.0, left.1) <= decomposition_cost(right.0, right.1) {
-                left
-            } else {
-                right
-            }
-        }
-    };
-    zhang_shasha(pa, pb, costs, production_kernel_mode())
-}
-
-/// Estimated number of relevant subproblems for a decomposition pair:
-/// `sum over keyroot pairs of |span(kr1)| * |span(kr2)|`.  Both factors are
-/// precomputed at [`PostTree::build`] time.
-fn decomposition_cost(pa: &PostTree, pb: &PostTree) -> u128 {
-    u128::from(pa.span_sum) * u128::from(pb.span_sum)
 }
 
 /// Post-order flattened tree with the auxiliary arrays Zhang–Shasha needs.
@@ -356,74 +329,45 @@ impl PostTree {
 // the DP kernel: scratch arena, adaptive cells, branch-split inner loops
 // ---------------------------------------------------------------------------
 
-/// Kernel implementation selector.  Production callers always run
-/// [`KernelMode::Full`]; the other variants exist so the ablation bench
-/// (`bench/benches/ted_kernel.rs`) and the equivalence proptests can
-/// measure and pin each optimisation in isolation.
+/// Kernel implementation selector of the oracle entries.  Production
+/// entries always run the SIMD kernel with its scalar fallback; the modes
+/// exist so the kernel bench and the equivalence proptests can pin each
+/// kernel against the others.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Fresh zero-initialised `u64` tables per pair, branchy inner loop —
-    /// the PR 4 kernel, kept as the ablation baseline.
+    /// the PR 4 kernel, kept as the oracle and the bench baseline.
     Baseline,
-    /// Thread-local scratch arena (no per-pair allocation or zeroing),
-    /// `u64` cells, branchy inner loop.
-    Arena,
-    /// Arena plus width-adaptive cells (`u32` whenever [`cell_width`]
-    /// proves the pair cannot overflow them).
-    ArenaNarrow,
-    /// Arena + adaptive cells + branch-split inner loops — the scalar
-    /// production kernel, and the overflow-safe fallback of `Simd`.
+    /// Thread-local scratch arena + width-adaptive cells + branch-split
+    /// inner loops — the scalar kernel, and the fallback of `Simd`.
     Full,
     /// Arena + u32 cells + the vectorised wavefront kernel
     /// (`crate::simd`): the loop-carried min/add chain is broken by a
     /// weighted prefix-min scan so each vector of cells costs one add and
     /// one min on the carried path.  Dispatches to the widest lane set the
-    /// CPU reports at runtime (AVX2, then SSE4.1) and falls back to `Full`
-    /// when lanes are unavailable (`SV_NO_SIMD=1`, non-x86-64, pre-SSE4.1
-    /// hardware) or when the pair needs u64 cells.
+    /// CPU reports at runtime and falls back to `Full` when lanes are
+    /// unavailable (`SV_NO_SIMD=1`, non-x86-64, pre-SSE4.1 hardware) or
+    /// when the pair needs u64 cells.
     Simd,
 }
 
 impl KernelMode {
-    /// All modes, in ablation order (each adds one optimisation).
-    #[doc(hidden)]
-    pub const ABLATION: [KernelMode; 5] = [
-        KernelMode::Baseline,
-        KernelMode::Arena,
-        KernelMode::ArenaNarrow,
-        KernelMode::Full,
-        KernelMode::Simd,
-    ];
+    /// Every mode, oracle first.
+    pub const ALL: [KernelMode; 3] = [KernelMode::Baseline, KernelMode::Full, KernelMode::Simd];
 
     /// Short label for bench output.
-    #[doc(hidden)]
     pub fn name(self) -> &'static str {
         match self {
             KernelMode::Baseline => "baseline",
-            KernelMode::Arena => "arena",
-            KernelMode::ArenaNarrow => "arena+u32",
             KernelMode::Full => "arena+u32+split",
             KernelMode::Simd => "simd",
         }
     }
 }
 
-/// The kernel mode production entry points ([`ted_with`], [`ted_shared`],
-/// [`edit_stats`]) dispatch to on this host: [`KernelMode::Simd`] when the
-/// CPU reports at least SSE4.1 and `SV_NO_SIMD` is unset, otherwise
-/// [`KernelMode::Full`].  Detection runs once per process.
-#[doc(hidden)]
-pub fn production_kernel_mode() -> KernelMode {
-    if crate::simd::enabled() {
-        KernelMode::Simd
-    } else {
-        KernelMode::Full
-    }
-}
-
 /// Human-readable name of the DP kernel production TED paths run on this
-/// host: `"simd-avx2"`, `"simd-sse4.1"`, `"scalar"`, or
+/// host: `"simd-avx512f"`, `"simd-avx2"`, `"simd-sse4.1"`, `"scalar"`, or
 /// `"scalar (SV_NO_SIMD)"` when the escape hatch forced lanes off.
 /// Surfaced by `svserve`'s `health` builtin so operators can confirm what
 /// a node is actually running.
@@ -431,11 +375,19 @@ pub fn active_kernel_name() -> &'static str {
     crate::simd::kernel_name()
 }
 
-/// [`ted_with`] with an explicit kernel implementation and **no**
+/// The closed-form distance of a pair with an empty side.
+fn empty_side(a: &Tree, b: &Tree, costs: CostModel) -> Option<u64> {
+    match (a.is_empty(), b.is_empty()) {
+        (true, _) => Some((b.size() as u64).saturating_mul(u64::from(costs.insert))),
+        (false, true) => Some((a.size() as u64).saturating_mul(u64::from(costs.delete))),
+        _ => None,
+    }
+}
+
+/// Exact TED with an explicit strategy and kernel, and **no**
 /// structural-hash short-circuit: hash-equal pairs run the full dynamic
-/// program.  This is the entry the ablation bench and the
-/// short-circuit-versus-DP equivalence proptests drive; production code
-/// wants [`ted_with`].
+/// program.  The oracle entry of the kernel bench and the equivalence
+/// proptests; production code wants [`ted`].
 #[doc(hidden)]
 pub fn ted_with_mode(
     a: &Tree,
@@ -444,14 +396,29 @@ pub fn ted_with_mode(
     strategy: Strategy,
     mode: KernelMode,
 ) -> u64 {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 0,
-        (true, false) => return b.size() as u64 * u64::from(costs.insert),
-        (false, true) => return a.size() as u64 * u64::from(costs.delete),
-        _ => {}
+    if let Some(d) = empty_side(a, b, costs) {
+        return d;
     }
     let (pa, pb) = build_decompositions(a, b, strategy);
-    zhang_shasha(&pa, &pb, costs, mode)
+    match mode {
+        KernelMode::Baseline => zhang_shasha_alloc(&pa, &pb, costs),
+        KernelMode::Full => zs_full(&pa, &pb, costs),
+        KernelMode::Simd => exact_kernel(&pa, &pb, costs),
+    }
+}
+
+/// The exact kernel production entries run: the SIMD kernel where lanes
+/// are live and the pair fits u32 lanes, the scalar kernel otherwise.
+fn exact_kernel(a: &PostTree, b: &PostTree, costs: CostModel) -> u64 {
+    crate::simd::exact(a, b, costs).unwrap_or_else(|| zs_full(a, b, costs))
+}
+
+/// The scalar kernel at the cell width [`cell_width`] proves safe.
+fn zs_full(a: &PostTree, b: &PostTree, costs: CostModel) -> u64 {
+    match cell_width(a.len(), b.len(), costs) {
+        CellWidth::U32 => zs_dp::<u32>(a, b, costs),
+        CellWidth::U64 => zs_dp::<u64>(a, b, costs),
+    }
 }
 
 /// Thread-local DP scratch: the `td`/`fd` tables at both cell widths, plus
@@ -536,30 +503,6 @@ fn grow<C: DpCell>(v: &mut Vec<C>, len: usize) {
     }
 }
 
-/// Dispatch a keyroot-pair DP to the kernel `mode` selects.
-fn zhang_shasha(a: &PostTree, b: &PostTree, costs: CostModel, mode: KernelMode) -> u64 {
-    match mode {
-        KernelMode::Baseline => zhang_shasha_alloc(a, b, costs),
-        KernelMode::Arena => zs_dp::<u64, false>(a, b, costs),
-        KernelMode::ArenaNarrow => match cell_width(a.len(), b.len(), costs) {
-            CellWidth::U32 => zs_dp::<u32, false>(a, b, costs),
-            CellWidth::U64 => zs_dp::<u64, false>(a, b, costs),
-        },
-        KernelMode::Full => match cell_width(a.len(), b.len(), costs) {
-            CellWidth::U32 => zs_dp::<u32, true>(a, b, costs),
-            CellWidth::U64 => zs_dp::<u64, true>(a, b, costs),
-        },
-        // The SIMD kernel is u32-only and needs lane support; anything it
-        // cannot take (forced scalar, u64 pairs, exotic hosts) runs the
-        // scalar production kernel instead, so `Simd` is always safe to
-        // request.
-        KernelMode::Simd => match crate::simd::exact(a, b, costs) {
-            Some(d) => d,
-            None => zhang_shasha(a, b, costs, KernelMode::Full),
-        },
-    }
-}
-
 /// One forest-form span of a DP row, `dj` in `[s0, s1)`: the hot core of
 /// the branch-split kernel, shared by partial rows (where it covers the
 /// whole row) and the forest runs of whole rows (where `pref` is the
@@ -572,7 +515,9 @@ fn zhang_shasha(a: &PostTree, b: &PostTree, costs: CostModel, mode: KernelMode) 
 /// latency-bound on that chain, so the unroll (plus folding `left` in
 /// last) is most of the kernel's speedup.  In-block intermediates stay
 /// ≤ 2·(n·del + m·ins) (a 4-block implies `cols ≥ 5`, so `4·ins ≤ m·ins`),
-/// which `cell_width` already bounds by the cell type.
+/// which `cell_width` already bounds by the cell type — which is why the
+/// block increments are only formed once a 4-block exists: on a narrow
+/// span `3·ins` alone may exceed the cell.
 ///
 /// Bounds (debug-asserted, guaranteed by the callers): `1 ≤ s0 ≤ s1 ≤
 /// cur.len() == prev_row.len() == pj.len()`, `td_row.len() ≥ s1 - 1`, and
@@ -602,25 +547,27 @@ fn forest_span<C: DpCell>(
         let det = *pref.get_unchecked(*pj.get_unchecked(dj) as usize);
         (*prev_row.get_unchecked(dj) + del).min(det + *td_row.get_unchecked(dj - 1))
     };
-    let ins2 = ins + ins;
-    let ins3 = ins2 + ins;
-    let ins4 = ins3 + ins;
     let mut dj = s0;
-    while dj + 4 <= s1 {
-        let (t0, t1, t2, t3) = (t_at(dj), t_at(dj + 1), t_at(dj + 2), t_at(dj + 3));
-        let p1 = t1.min(t0 + ins);
-        let p2 = t2.min(p1 + ins);
-        let p3 = t3.min(p2 + ins);
-        let d3 = p3.min(left + ins4);
-        // SAFETY: dj + 3 < s1 ≤ cur.len().
-        unsafe {
-            *cur.get_unchecked_mut(dj) = t0.min(left + ins);
-            *cur.get_unchecked_mut(dj + 1) = p1.min(left + ins2);
-            *cur.get_unchecked_mut(dj + 2) = p2.min(left + ins3);
-            *cur.get_unchecked_mut(dj + 3) = d3;
+    if dj + 4 <= s1 {
+        let ins2 = ins + ins;
+        let ins3 = ins2 + ins;
+        let ins4 = ins3 + ins;
+        while dj + 4 <= s1 {
+            let (t0, t1, t2, t3) = (t_at(dj), t_at(dj + 1), t_at(dj + 2), t_at(dj + 3));
+            let p1 = t1.min(t0 + ins);
+            let p2 = t2.min(p1 + ins);
+            let p3 = t3.min(p2 + ins);
+            let d3 = p3.min(left + ins4);
+            // SAFETY: dj + 3 < s1 ≤ cur.len().
+            unsafe {
+                *cur.get_unchecked_mut(dj) = t0.min(left + ins);
+                *cur.get_unchecked_mut(dj + 1) = p1.min(left + ins2);
+                *cur.get_unchecked_mut(dj + 2) = p2.min(left + ins3);
+                *cur.get_unchecked_mut(dj + 3) = d3;
+            }
+            left = d3;
+            dj += 4;
         }
-        left = d3;
-        dj += 4;
     }
     while dj < s1 {
         let d = t_at(dj).min(left + ins);
@@ -632,8 +579,8 @@ fn forest_span<C: DpCell>(
     left
 }
 
-/// The Zhang–Shasha dynamic program, generic over the DP cell type and
-/// (statically) over whether the inner loop is branch-split.
+/// The Zhang–Shasha dynamic program over the thread-local arena, generic
+/// over the DP cell type.
 ///
 /// **Why skipping zero-init is sound.**  Each `td[i·m + j]` is written
 /// while processing the unique keyroot pair `(k(i), k(j))` whose spans
@@ -644,13 +591,13 @@ fn forest_span<C: DpCell>(
 /// previous *trees* — are therefore never observed, and the O(n·m) memset
 /// the baseline kernel paid per pair is pure waste.
 ///
-/// **Branch-split loops** (`SPLIT = true`): the `lld` comparisons that
-/// decide tree-vs-forest cells depend only on the row (`a.lld[i] == l1`)
-/// and the column (`b.lld[j] == l2`).  The column flags are precomputed
-/// per keyroot as maximal constant runs, so each inner loop body is either
+/// **Branch-split loops**: the `lld` comparisons that decide
+/// tree-vs-forest cells depend only on the row (`a.lld[i] == l1`) and the
+/// column (`b.lld[j] == l2`).  The column flags are precomputed per
+/// keyroot as maximal constant runs, so each inner loop body is either
 /// the pure tree-distance form or the pure forest form with no per-cell
 /// flag test and no per-cell `lld` loads.
-fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostModel) -> u64 {
+fn zs_dp<C: DpCell>(a: &PostTree, b: &PostTree, costs: CostModel) -> u64 {
     let (n, m) = (a.len(), b.len());
     let del = C::of(costs.delete);
     let ins = C::of(costs.insert);
@@ -685,47 +632,43 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
         // independent stores rather than a dependent add chain.
         let nkr2 = b.keyroots.len();
         let mut pj_flat: Vec<u32> = Vec::new();
-        let mut pj_off: Vec<u32> = Vec::new();
+        let mut pj_off: Vec<u32> = Vec::with_capacity(nkr2);
         let mut runs_flat: Vec<(u32, u32, bool)> = Vec::new();
         let mut runs_off: Vec<u32> = Vec::with_capacity(nkr2 + 1);
-        let mut del_ramp: Vec<C> = Vec::new();
-        let mut ins_ramp: Vec<C> = Vec::new();
-        if SPLIT {
-            pj_off.reserve(nkr2);
-            for &kr2 in &b.keyroots {
-                let l2 = b.lld[kr2];
-                let cols = kr2 - l2 + 2;
-                pj_off.push(pj_flat.len() as u32);
-                runs_off.push(runs_flat.len() as u32);
-                pj_flat.push(0); // dj = 0 placeholder
-                                 // dj = 1 is l2 itself, always a whole (single-leaf) tree.
-                let (mut start, mut whole) = (1u32, true);
-                for dj in 1..cols {
-                    let j = l2 + dj - 1;
-                    let w = b.lld[j] == l2;
-                    pj_flat.push((b.lld[j] - l2) as u32);
-                    if w != whole {
-                        runs_flat.push((start, dj as u32, whole));
-                        start = dj as u32;
-                        whole = w;
-                    }
-                }
-                runs_flat.push((start, cols as u32, whole));
-            }
+        for &kr2 in &b.keyroots {
+            let l2 = b.lld[kr2];
+            let cols = kr2 - l2 + 2;
+            pj_off.push(pj_flat.len() as u32);
             runs_off.push(runs_flat.len() as u32);
-            del_ramp.reserve(n + 1);
-            ins_ramp.reserve(m + 1);
-            let (mut d, mut i) = (C::ZERO, C::ZERO);
+            // dj = 0 is a placeholder; dj = 1 is l2 itself, always a whole
+            // (single-leaf) tree.
+            pj_flat.push(0);
+            let (mut start, mut whole) = (1u32, true);
+            for dj in 1..cols {
+                let j = l2 + dj - 1;
+                let w = b.lld[j] == l2;
+                pj_flat.push((b.lld[j] - l2) as u32);
+                if w != whole {
+                    runs_flat.push((start, dj as u32, whole));
+                    start = dj as u32;
+                    whole = w;
+                }
+            }
+            runs_flat.push((start, cols as u32, whole));
+        }
+        runs_off.push(runs_flat.len() as u32);
+        let mut del_ramp: Vec<C> = Vec::with_capacity(n + 1);
+        let mut ins_ramp: Vec<C> = Vec::with_capacity(m + 1);
+        let (mut d, mut i) = (C::ZERO, C::ZERO);
+        del_ramp.push(d);
+        ins_ramp.push(i);
+        for _ in 0..n {
+            d = d + del;
             del_ramp.push(d);
+        }
+        for _ in 0..m {
+            i = i + ins;
             ins_ramp.push(i);
-            for _ in 0..n {
-                d = d + del;
-                del_ramp.push(d);
-            }
-            for _ in 0..m {
-                i = i + ins;
-                ins_ramp.push(i);
-            }
         }
 
         for &kr1 in &a.keyroots {
@@ -735,60 +678,24 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
                 let l2 = b.lld[kr2];
                 let cols = kr2 - l2 + 2;
 
-                let (pj, runs): (&[u32], &[(u32, u32, bool)]) = if SPLIT {
-                    // fd row 0 is never materialised: it is exactly
-                    // `ins_ramp[..cols]`, and the only readers — the
-                    // di == 1 previous row and the whole-row detached
-                    // prefix (pi == 0) — read the shared ramp instead,
-                    // which stays cache-hot across all keyroot pairs.
-                    // Column 0 is still stored (rows 1..): detached-
-                    // prefix gathers hit it at runtime-computed offsets.
-                    for di in 1..rows {
-                        fd[di * cols] = del_ramp[di];
-                    }
-                    (
-                        &pj_flat[pj_off[q] as usize..][..cols],
-                        &runs_flat[runs_off[q] as usize..runs_off[q + 1] as usize],
-                    )
-                } else {
-                    fd[0] = C::ZERO;
-                    for di in 1..rows {
-                        fd[di * cols] = fd[(di - 1) * cols] + del;
-                    }
-                    for dj in 1..cols {
-                        fd[dj] = fd[dj - 1] + ins;
-                    }
-                    (&[], &[])
-                };
+                // fd row 0 is never materialised: it is exactly
+                // `ins_ramp[..cols]`, and the only readers — the di == 1
+                // previous row and the whole-row detached prefix (pi == 0)
+                // — read the shared ramp instead, which stays cache-hot
+                // across all keyroot pairs.  Column 0 is still stored
+                // (rows 1..): detached-prefix gathers hit it at
+                // runtime-computed offsets.
+                for di in 1..rows {
+                    fd[di * cols] = del_ramp[di];
+                }
+                let pj = &pj_flat[pj_off[q] as usize..][..cols];
+                let runs = &runs_flat[runs_off[q] as usize..runs_off[q + 1] as usize];
 
                 #[allow(clippy::needless_range_loop)] // di also derives row offsets
                 for di in 1..rows {
                     let i = l1 + di - 1; // actual post-order node in a
                     let row = di * cols;
                     let prev = row - cols;
-
-                    if !SPLIT {
-                        // Reference-shaped loop (arena-backed PR 4 kernel).
-                        for dj in 1..cols {
-                            let j = l2 + dj - 1;
-                            if a.lld[i] == l1 && b.lld[j] == l2 {
-                                let sub = if la[i] == lb[j] { C::ZERO } else { rel };
-                                let d = (fd[prev + dj] + del)
-                                    .min(fd[row + dj - 1] + ins)
-                                    .min(fd[prev + dj - 1] + sub);
-                                fd[row + dj] = d;
-                                td[i * m + j] = d;
-                            } else {
-                                let pi = a.lld[i] - l1;
-                                let pjv = b.lld[j] - l2;
-                                let d = (fd[prev + dj] + del)
-                                    .min(fd[row + dj - 1] + ins)
-                                    .min(fd[pi * cols + pjv] + td[i * m + j]);
-                                fd[row + dj] = d;
-                            }
-                        }
-                        continue;
-                    }
 
                     // Row slices: `cur` is exactly `cols` long and every
                     // other row the loop reads lies strictly below it, so
@@ -985,17 +892,16 @@ pub fn dp_cell_estimate(a: &Tree, b: &Tree, strategy: Strategy) -> u64 {
 /// when the DP tables would exceed `max_bytes`, instead of taking the
 /// machine down the way the paper's GROMACS run did.
 pub fn ted_bounded(
-    a: &Tree,
-    b: &Tree,
+    a: &SharedTree,
+    b: &SharedTree,
     costs: CostModel,
-    strategy: Strategy,
     max_bytes: u64,
 ) -> Result<u64, TedError> {
     let needed = memory_estimate_with(a, b, costs);
     if needed > max_bytes {
         return Err(TedError::BudgetExceeded { needed_bytes: needed, budget_bytes: max_bytes });
     }
-    Ok(ted_with(a, b, costs, strategy))
+    Ok(ted(a, b, costs))
 }
 
 /// Threshold TED: `Some(ted(a, b))` iff the distance is ≤ `tau`, `None`
@@ -1003,11 +909,15 @@ pub fn ted_bounded(
 /// (clustering only needs exact values near the linkage frontier; every
 /// pair provably beyond it is answered without finishing the DP).
 ///
-/// Contract, pinned by proptest against [`ted_with`]:
-/// `ted_within(a, b, c, s, tau) == Some(d)  ⟺  ted_with(a, b, c, s) == d ≤ tau`.
+/// Contract, pinned by proptest against the exact oracle:
+/// `ted_within(a, b, c, tau) == Some(d)  ⟺  ted(a, b, c) == d ≤ tau`.
 ///
-/// A note on *how* it exits early: a running row-minimum check is unsound
-/// for Zhang–Shasha — the detached-subtree transition jumps from
+/// The memoized lower-bound profiles (see [`crate::lowerbound`]) prefilter
+/// the pair first: when `pqgram_lb(a, b) > tau` no decomposition is
+/// touched at all.
+///
+/// A note on *how* the DP exits early: a running row-minimum check is
+/// unsound for Zhang–Shasha — the detached-subtree transition jumps from
 /// `(lld(i), lld(j))` to `(i, j)` across many rows, and `fd[0][0] = 0`
 /// keeps every row minimum at 0 anyway.  What is sound is a *band*: a
 /// forest-prefix pair `(di, dj)` costs at least `(di − dj)·delete` (resp.
@@ -1016,85 +926,23 @@ pub fn ted_bounded(
 /// ≤ `tau` derivation.  The kernel computes only in-band cells (Touzet's
 /// banded strategy adapted to the keyroot DP), clamps everything else at
 /// `tau + 1`, and skips whole keyroot rows once their band empties.
-pub fn ted_within(
-    a: &Tree,
-    b: &Tree,
-    costs: CostModel,
-    strategy: Strategy,
-    tau: u64,
-) -> Option<u64> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return Some(0),
-        (true, false) => {
-            let d = (b.size() as u64).saturating_mul(u64::from(costs.insert));
-            return (d <= tau).then_some(d);
-        }
-        (false, true) => {
-            let d = (a.size() as u64).saturating_mul(u64::from(costs.delete));
-            return (d <= tau).then_some(d);
-        }
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return Some(0);
-    }
-    if size_diff_lb(a.size(), b.size(), costs) > tau {
-        return None;
-    }
-    let (pa, pb) = build_decompositions(a, b, strategy);
-    zs_within_dispatch(&pa, &pb, costs, tau)
-}
-
-/// [`ted_within`] over [`SharedTree`]s: the memoized lower-bound profiles
-/// (see [`crate::lowerbound`]) prefilter the pair — when
-/// `pqgram_lb(a, b) > tau` no decomposition is touched at all — and the
-/// banded DP consumes the memoized path decompositions.
-pub fn ted_within_shared(
-    a: &crate::SharedTree,
-    b: &crate::SharedTree,
-    costs: CostModel,
-    strategy: Strategy,
-    tau: u64,
-) -> Option<u64> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return Some(0),
-        (true, false) => {
-            let d = (b.size() as u64).saturating_mul(u64::from(costs.insert));
-            return (d <= tau).then_some(d);
-        }
-        (false, true) => {
-            let d = (a.size() as u64).saturating_mul(u64::from(costs.delete));
-            return (d <= tau).then_some(d);
-        }
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return Some(0);
+pub fn ted_within(a: &SharedTree, b: &SharedTree, costs: CostModel, tau: u64) -> Option<u64> {
+    if let Some(d) = trivial(a, b, costs) {
+        return (d <= tau).then_some(d);
     }
     if crate::lowerbound::pqgram_lb(a.profile(), b.profile(), costs) > tau {
         return None;
     }
-    let (pa, pb) = match strategy {
-        Strategy::Left => (a.left(), b.left()),
-        Strategy::Right => (a.right(), b.right()),
-        Strategy::Auto => {
-            let left = (a.left(), b.left());
-            let right = (a.right(), b.right());
-            if decomposition_cost(left.0, left.1) <= decomposition_cost(right.0, right.1) {
-                left
-            } else {
-                right
-            }
-        }
-    };
-    zs_within_dispatch(pa, pb, costs, tau)
+    let (pa, pb) = auto_pair(a, b);
+    within_kernel(pa, pb, costs, tau)
 }
 
-/// [`ted_within`] with an explicit kernel mode and no structural-hash
-/// short-circuit: [`KernelMode::Baseline`] solves exactly with the PR 4
-/// kernel and applies the threshold afterwards (the oracle the proptests
-/// and the approx bench pin the banded kernel against); every other mode
-/// runs the banded arena kernel.
+/// Threshold TED with an explicit strategy and kernel, and no prefilter
+/// or structural-hash short-circuit: [`KernelMode::Baseline`] solves
+/// exactly with the PR 4 kernel and applies the threshold afterwards (the
+/// oracle the proptests and the approx bench pin the banded kernels
+/// against), `Full` runs the scalar banded kernel and `Simd` the vector
+/// one with its scalar fallback.
 #[doc(hidden)]
 pub fn ted_within_with_mode(
     a: &Tree,
@@ -1104,17 +952,8 @@ pub fn ted_within_with_mode(
     tau: u64,
     mode: KernelMode,
 ) -> Option<u64> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return Some(0),
-        (true, false) => {
-            let d = (b.size() as u64).saturating_mul(u64::from(costs.insert));
-            return (d <= tau).then_some(d);
-        }
-        (false, true) => {
-            let d = (a.size() as u64).saturating_mul(u64::from(costs.delete));
-            return (d <= tau).then_some(d);
-        }
-        _ => {}
+    if let Some(d) = empty_side(a, b, costs) {
+        return (d <= tau).then_some(d);
     }
     let (pa, pb) = build_decompositions(a, b, strategy);
     match mode {
@@ -1122,29 +961,16 @@ pub fn ted_within_with_mode(
             let d = zhang_shasha_alloc(&pa, &pb, costs);
             (d <= tau).then_some(d)
         }
-        KernelMode::Simd => zs_within_dispatch(&pa, &pb, costs, tau),
-        _ => zs_within(&pa, &pb, costs, tau),
+        KernelMode::Full => zs_within(&pa, &pb, costs, tau),
+        KernelMode::Simd => within_kernel(&pa, &pb, costs, tau),
     }
 }
 
-/// The banded kernel production paths run: the SIMD banded kernel whenever
-/// lanes are available and the `tau`-derived u32 intermediates provably
-/// cannot wrap, the scalar `u64` banded kernel otherwise.
-fn zs_within_dispatch(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u64> {
-    if let Some(r) = crate::simd::within(a, b, costs, tau) {
-        return r;
-    }
-    zs_within(a, b, costs, tau)
-}
-
-/// Size-difference lower bound: transforming `na` nodes into `nb > na`
-/// performs at least `nb − na` inserts (symmetrically deletes).
-fn size_diff_lb(na: usize, nb: usize, costs: CostModel) -> u64 {
-    if nb >= na {
-        ((nb - na) as u64).saturating_mul(u64::from(costs.insert))
-    } else {
-        ((na - nb) as u64).saturating_mul(u64::from(costs.delete))
-    }
+/// The banded kernel production entries run: the SIMD banded kernel
+/// whenever lanes are available and the `tau`-derived u32 intermediates
+/// provably cannot wrap, the scalar `u64` banded kernel otherwise.
+fn within_kernel(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u64> {
+    crate::simd::within(a, b, costs, tau).unwrap_or_else(|| zs_within(a, b, costs, tau))
 }
 
 /// The banded (threshold) Zhang–Shasha kernel.
@@ -1276,59 +1102,25 @@ impl EditStats {
 /// future-work knob: "adding new code may have a different productivity
 /// impact than removing existing code") would weight.
 ///
-/// The path decompositions are built **once** and shared by both exact
-/// solves (the strategy choice depends only on keyroot spans, never on the
-/// cost model), instead of rebuilding them per solve.
-pub fn edit_stats(a: &Tree, b: &Tree) -> EditStats {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return EditStats { inserts: 0, deletes: 0, relabels: 0 },
-        (true, false) => return EditStats { inserts: b.size() as u64, deletes: 0, relabels: 0 },
-        (false, true) => return EditStats { inserts: 0, deletes: a.size() as u64, relabels: 0 },
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return EditStats { inserts: 0, deletes: 0, relabels: 0 };
-    }
-    let (pa, pb) = build_decompositions(a, b, Strategy::Auto);
-    prepared_edit_stats(&pa, &pb, a.size(), b.size())
-}
-
-/// [`edit_stats`] over [`SharedTree`]s: both solves consume the memoized
-/// decompositions, so warm artefacts pay zero `PostTree` builds.
-pub fn edit_stats_shared(a: &crate::SharedTree, b: &crate::SharedTree) -> EditStats {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return EditStats { inserts: 0, deletes: 0, relabels: 0 },
-        (true, false) => return EditStats { inserts: b.size() as u64, deletes: 0, relabels: 0 },
-        (false, true) => return EditStats { inserts: 0, deletes: a.size() as u64, relabels: 0 },
-        _ => {}
-    }
-    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-        return EditStats { inserts: 0, deletes: 0, relabels: 0 };
-    }
-    let left = (a.left(), b.left());
-    let right = (a.right(), b.right());
-    let (pa, pb) = if decomposition_cost(left.0, left.1) <= decomposition_cost(right.0, right.1) {
-        left
-    } else {
-        right
-    };
-    prepared_edit_stats(pa, pb, a.size(), b.size())
-}
-
-/// Two exact solves over one prepared decomposition pair: with relabel
+/// Two exact solves share one decomposition pair (the strategy choice
+/// depends only on keyroot spans, never on the cost model): with relabel
 /// cost 2 a relabel never beats delete+insert, so `d₂ − d₁` counts the
 /// relabels of an optimal unit-cost script, and
 /// `|T₂| − |T₁| = inserts − deletes` closes the system.
-fn prepared_edit_stats(pa: &PostTree, pb: &PostTree, na: usize, nb: usize) -> EditStats {
-    let mode = production_kernel_mode();
-    let d1 = zhang_shasha(pa, pb, CostModel::UNIT, mode);
-    let d2 = zhang_shasha(pa, pb, CostModel { delete: 1, insert: 1, relabel: 2 }, mode);
-    let relabels = d2 - d1;
+pub fn edit_stats(a: &SharedTree, b: &SharedTree) -> EditStats {
+    let (d1, relabels) = match trivial(a, b, CostModel::UNIT) {
+        Some(d) => (d, 0),
+        None => {
+            let (pa, pb) = auto_pair(a, b);
+            let d1 = exact_kernel(pa, pb, CostModel::UNIT);
+            let d2 = exact_kernel(pa, pb, CostModel { delete: 1, insert: 1, relabel: 2 });
+            (d1, d2 - d1)
+        }
+    };
     let matched_cost = d1 - relabels; // inserts + deletes
-    let diff = nb as i64 - na as i64; // inserts - deletes
+    let diff = b.size() as i64 - a.size() as i64; // inserts - deletes
     let inserts = ((matched_cost as i64 + diff) / 2) as u64;
-    let deletes = matched_cost - inserts;
-    EditStats { inserts, deletes, relabels }
+    EditStats { inserts, deletes: matched_cost - inserts, relabels }
 }
 
 /// Brute-force TED oracle: direct forest recursion with memoisation.
@@ -1336,7 +1128,7 @@ fn prepared_edit_stats(pa: &PostTree, pb: &PostTree, na: usize, nb: usize) -> Ed
 /// Exponential in the worst case — only use on trees of ≲ 12 nodes.  It is
 /// deliberately implemented on a completely different decomposition (root
 /// lists instead of post-order spans) so that agreement with
-/// [`ted_with`] is strong evidence of correctness.
+/// the DP kernels is strong evidence of correctness.
 pub fn naive_ted(a: &Tree, b: &Tree, costs: CostModel) -> u64 {
     type Forest = Vec<NodeId>;
 
@@ -1445,18 +1237,30 @@ pub fn naive_ted(a: &Tree, b: &Tree, costs: CostModel) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn t(s: &str) -> Tree {
         Tree::from_sexpr(s).unwrap()
     }
 
+    fn sh(s: &str) -> SharedTree {
+        SharedTree::new(t(s))
+    }
+
+    /// Unit-cost [`ted`] over fresh shared wrappers of plain trees.
+    fn unit(a: &Tree, b: &Tree) -> u64 {
+        ted(&SharedTree::new(a.clone()), &SharedTree::new(b.clone()), CostModel::UNIT)
+    }
+
+    /// The oracle entry under every strategy, then the production entry.
     fn all_strategies(a: &Tree, b: &Tree) -> Vec<u64> {
-        [Strategy::Left, Strategy::Right, Strategy::Auto]
+        let mut ds: Vec<u64> = [Strategy::Left, Strategy::Right, Strategy::Auto]
             .iter()
-            .map(|&s| ted_with(a, b, CostModel::UNIT, s))
-            .collect()
+            .map(|&s| ted_with_mode(a, b, CostModel::UNIT, s, KernelMode::Simd))
+            .collect();
+        ds.push(unit(a, b));
+        ds
     }
 
     #[test]
@@ -1471,9 +1275,9 @@ mod tests {
     fn empty_tree_cases() {
         let e = Tree::empty();
         let a = t("(f a b)");
-        assert_eq!(ted(&e, &e), 0);
-        assert_eq!(ted(&e, &a), 3);
-        assert_eq!(ted(&a, &e), 3);
+        assert_eq!(unit(&e, &e), 0);
+        assert_eq!(unit(&e, &a), 3);
+        assert_eq!(unit(&a, &e), 3);
     }
 
     #[test]
@@ -1489,8 +1293,8 @@ mod tests {
     fn single_insert_delete() {
         let a = t("(f a)");
         let b = t("(f a b)");
-        assert_eq!(ted(&a, &b), 1);
-        assert_eq!(ted(&b, &a), 1);
+        assert_eq!(unit(&a, &b), 1);
+        assert_eq!(unit(&b, &a), 1);
     }
 
     #[test]
@@ -1511,19 +1315,21 @@ mod tests {
         ];
         for (sa, sb) in pairs {
             let (a, b) = (t(sa), t(sb));
+            let (xa, xb) = (SharedTree::new(a.clone()), SharedTree::new(b.clone()));
             for &c in &costs {
-                for strat in [Strategy::Left, Strategy::Right, Strategy::Auto] {
-                    let exact = ted_with(&a, &b, c, strat);
-                    let taus = [0, exact.saturating_sub(1), exact, exact + 1, 2 * exact + 3];
-                    for tau in taus {
-                        let got = ted_within(&a, &b, c, strat, tau);
-                        let want = (exact <= tau).then_some(exact);
-                        assert_eq!(got, want, "{sa} vs {sb} {c:?} {strat:?} tau={tau}");
-                        assert_eq!(
-                            ted_within_with_mode(&a, &b, c, strat, tau, KernelMode::Baseline),
-                            want,
-                            "baseline oracle disagrees: {sa} vs {sb} tau={tau}"
-                        );
+                let exact = ted(&xa, &xb, c);
+                let taus = [0, exact.saturating_sub(1), exact, exact + 1, 2 * exact + 3];
+                for tau in taus {
+                    let want = (exact <= tau).then_some(exact);
+                    assert_eq!(ted_within(&xa, &xb, c, tau), want, "{sa} vs {sb} {c:?} tau={tau}");
+                    for strat in [Strategy::Left, Strategy::Right, Strategy::Auto] {
+                        for mode in KernelMode::ALL {
+                            assert_eq!(
+                                ted_within_with_mode(&a, &b, c, strat, tau, mode),
+                                want,
+                                "{sa} vs {sb} {c:?} {strat:?} {mode:?} tau={tau}"
+                            );
+                        }
                     }
                 }
             }
@@ -1531,25 +1337,25 @@ mod tests {
     }
 
     #[test]
-    fn ted_within_shared_uses_profile_prefilter() {
-        let a = crate::SharedTree::new(t("(f (g a b) (h c))"));
-        let b = crate::SharedTree::new(t("(z (y x) (w (v u) q))"));
-        let exact = ted_shared(&a, &b, CostModel::UNIT, Strategy::Auto);
-        assert_eq!(ted_within_shared(&a, &b, CostModel::UNIT, Strategy::Auto, exact), Some(exact));
-        assert_eq!(ted_within_shared(&a, &b, CostModel::UNIT, Strategy::Auto, exact - 1), None);
+    fn ted_within_uses_profile_prefilter() {
+        let a = sh("(f (g a b) (h c))");
+        let b = sh("(z (y x) (w (v u) q))");
+        let exact = ted(&a, &b, CostModel::UNIT);
+        assert_eq!(ted_within(&a, &b, CostModel::UNIT, exact), Some(exact));
+        assert_eq!(ted_within(&a, &b, CostModel::UNIT, exact - 1), None);
         // A prefiltered pair never touches the decompositions.
-        let c = crate::SharedTree::new(t("(only root)"));
-        let far = crate::SharedTree::new(t("(a (b (c (d (e (f (g h)))))) i j k l)"));
-        assert_eq!(ted_within_shared(&c, &far, CostModel::UNIT, Strategy::Auto, 1), None);
+        let c = sh("(only root)");
+        let far = sh("(a (b (c (d (e (f (g h)))))) i j k l)");
+        assert_eq!(ted_within(&c, &far, CostModel::UNIT, 1), None);
         assert!(!c.views_ready() && !far.views_ready());
     }
 
     #[test]
     fn ted_within_max_tau_degenerates_to_exact() {
-        let a = t("(f (d a (c b)) e)");
-        let b = t("(g (c (d q b)) e f)");
-        let exact = ted_with(&a, &b, CostModel::UNIT, Strategy::Auto);
-        assert_eq!(ted_within(&a, &b, CostModel::UNIT, Strategy::Auto, u64::MAX), Some(exact));
+        let a = sh("(f (d a (c b)) e)");
+        let b = sh("(g (c (d q b)) e f)");
+        let exact = ted(&a, &b, CostModel::UNIT);
+        assert_eq!(ted_within(&a, &b, CostModel::UNIT, u64::MAX), Some(exact));
     }
 
     #[test]
@@ -1560,8 +1366,7 @@ mod tests {
         let b = t("(CompoundStmt (ReturnStmt (BinaryOp IntegerLiteral IntegerLiteral)))");
         // delete DeclStmt, VarDecl, DeclRefExpr; insert BinaryOp and one
         // IntegerLiteral: 5 ops (the shared IntegerLiteral and ReturnStmt map).
-        let d = ted(&a, &b);
-        assert_eq!(d, 5);
+        assert_eq!(unit(&a, &b), 5);
         assert_eq!(naive_ted(&a, &b, CostModel::UNIT), 5);
     }
 
@@ -1580,16 +1385,16 @@ mod tests {
     fn symmetry_under_unit_costs() {
         let a = t("(x (y a b c) (z d))");
         let b = t("(x (w a) (z d e f))");
-        assert_eq!(ted(&a, &b), ted(&b, &a));
+        assert_eq!(unit(&a, &b), unit(&b, &a));
     }
 
     #[test]
     fn asymmetric_costs() {
-        let a = t("(f a b)"); // to reach b: insert one node
-        let b = t("(f a b c)");
+        let a = sh("(f a b)"); // to reach b: insert one node
+        let b = sh("(f a b c)");
         let exp = CostModel { delete: 1, insert: 7, relabel: 1 };
-        assert_eq!(ted_with(&a, &b, exp, Strategy::Left), 7);
-        assert_eq!(ted_with(&b, &a, exp, Strategy::Left), 1); // deletion side
+        assert_eq!(ted(&a, &b, exp), 7);
+        assert_eq!(ted(&b, &a, exp), 1); // deletion side
         assert_eq!(naive_ted(&a, &b, exp), 7);
     }
 
@@ -1597,10 +1402,10 @@ mod tests {
     fn relabel_vs_delete_insert_tradeoff() {
         // With relabel cost 3 > delete+insert = 2, the solver must prefer
         // delete+insert over relabel.
-        let a = t("a");
-        let b = t("b");
+        let a = sh("a");
+        let b = sh("b");
         let cm = CostModel { delete: 1, insert: 1, relabel: 3 };
-        assert_eq!(ted_with(&a, &b, cm, Strategy::Left), 2);
+        assert_eq!(ted(&a, &b, cm), 2);
         assert_eq!(naive_ted(&a, &b, cm), 2);
     }
 
@@ -1608,7 +1413,7 @@ mod tests {
     fn distance_bounded_by_sizes() {
         let a = t("(f (g a b) c)");
         let b = t("(x (y (z q)))");
-        let d = ted(&a, &b);
+        let d = unit(&a, &b);
         assert!(d <= (a.size() + b.size()) as u64);
         assert!(d >= (a.size() as i64 - b.size() as i64).unsigned_abs());
     }
@@ -1633,26 +1438,30 @@ mod tests {
 
     #[test]
     fn kernel_modes_agree_on_fixed_cases() {
-        // Every ablation stage of the kernel — and both strategies — must
-        // compute the same distances as the oracle.
+        // Every kernel — and every strategy — must compute the same
+        // distances as the oracle.
         let cases = [
             ("(a (b c d) e)", "(a (b c) (e d))"),
             ("(root (l1 (l2 (l3 x))))", "(root x)"),
             ("(f (d a (c b)) e)", "(f (c (d a b)) e)"),
             ("(m (n o) (n o) (n o))", "(m (n o))"),
             ("(s a a a a)", "(s a a)"),
+            ("(f a b c d e)", "g"),
         ];
         let cms = [
             CostModel::UNIT,
             CostModel { delete: 2, insert: 3, relabel: 5 },
             CostModel { delete: u32::MAX, insert: u32::MAX, relabel: 1 },
+            // Fits u32 cells against a one-node target, while 3·insert
+            // does not (see `cell_width_selection_rule`).
+            CostModel { delete: 1, insert: 1_500_000_000, relabel: 1 },
         ];
         for (sa, sb) in cases {
             let a = t(sa);
             let b = t(sb);
             for cm in cms {
                 let expect = naive_ted(&a, &b, cm);
-                for mode in KernelMode::ABLATION {
+                for mode in KernelMode::ALL {
                     for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
                         assert_eq!(
                             ted_with_mode(&a, &b, cm, s, mode),
@@ -1678,6 +1487,10 @@ mod tests {
         let cm = CostModel { delete: 1 << 20, insert: 1 << 20, relabel: 0 };
         assert_eq!(cell_width(1024, 1024, cm), CellWidth::U64);
         assert_eq!(cell_width(1024, 1023, cm), CellWidth::U32);
+        // A one-node target keeps a 1.5e9 insert cost narrow:
+        // 2·(6·1 + 1·1.5e9) + 1 < 2^32, though 3·1.5e9 alone is not.
+        let wide_insert = CostModel { delete: 1, insert: 1_500_000_000, relabel: 1 };
+        assert_eq!(cell_width(6, 1, wide_insert), CellWidth::U32);
         assert_eq!(CellWidth::U32.bytes(), 4);
         assert_eq!(CellWidth::U64.bytes(), 8);
     }
@@ -1687,58 +1500,59 @@ mod tests {
         // A left-comb and a right-comb: structurally mirrored chains.
         let left = t("(a (a (a (a a))))");
         let wide = t("(a a a a a)");
-        let d = ted(&left, &wide);
-        assert_eq!(d, naive_ted(&left, &wide, CostModel::UNIT));
+        assert_eq!(unit(&left, &wide), naive_ted(&left, &wide, CostModel::UNIT));
     }
 
     #[test]
     fn auto_picks_a_valid_answer_on_right_heavy_trees() {
         // Right-heavy trees make the right decomposition cheaper; Auto must
-        // still return the exact distance.
-        let a = t("(r a (r b (r c (r d (r e f)))))");
-        let b = t("(r (r (r (r (r f e) d) c) b) a)");
-        let dl = ted_with(&a, &b, CostModel::UNIT, Strategy::Left);
-        let dr = ted_with(&a, &b, CostModel::UNIT, Strategy::Right);
-        let da = ted_with(&a, &b, CostModel::UNIT, Strategy::Auto);
+        // pick it and still return the exact distance.
+        let a = sh("(r a (r b (r c (r d (r e f)))))");
+        let b = sh("(r a (r q (r c (r d f))))");
+        let (pa, pb) = auto_pair(&a, &b);
+        assert!(std::ptr::eq(pa, a.right()) && std::ptr::eq(pb, b.right()));
+        // Its mirror image is left-heavy, and Auto goes left.
+        let (ma, mb) = (sh("(r (r (r (r (r f e) d) c) b) a)"), sh("(r (r (r (r f d) c) q) a)"));
+        let (pa, pb) = auto_pair(&ma, &mb);
+        assert!(std::ptr::eq(pa, ma.left()) && std::ptr::eq(pb, mb.left()));
+        assert_eq!(ted(&ma, &mb, CostModel::UNIT), ted(&a, &b, CostModel::UNIT));
+        let dl = ted_with_mode(&a, &b, CostModel::UNIT, Strategy::Left, KernelMode::Simd);
+        let dr = ted_with_mode(&a, &b, CostModel::UNIT, Strategy::Right, KernelMode::Simd);
         assert_eq!(dl, dr);
-        assert_eq!(da, dl);
+        assert_eq!(ted(&a, &b, CostModel::UNIT), dl);
+    }
+
+    /// Deterministic pseudo-random small tree of at most `1 + budget` nodes.
+    fn gen(rng: &mut rand::rngs::StdRng, budget: &mut usize, depth: usize) -> Tree {
+        use rand::Rng;
+        let l = ["a", "b", "c"][rng.gen_range(0..3)];
+        let mut children = Vec::new();
+        while *budget > 0 && depth < 4 && rng.gen_bool(0.5) {
+            *budget -= 1;
+            children.push(gen(rng, budget, depth + 1));
+        }
+        Tree::node(l, children)
     }
 
     #[test]
     fn moderate_random_agreement_with_oracle() {
         // Deterministic pseudo-random small trees, cross-checked across
         // strategies and kernel modes.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        let labels = ["a", "b", "c"];
-        fn gen(rng: &mut StdRng, labels: &[&str], budget: &mut usize, depth: usize) -> Tree {
-            let l = labels[rng.gen_range(0..labels.len())];
-            let mut children = Vec::new();
-            while *budget > 0 && depth < 4 && rng.gen_bool(0.5) {
-                *budget -= 1;
-                children.push(gen(rng, labels, budget, depth + 1));
-            }
-            Tree::node(l, children)
-        }
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         for _ in 0..60 {
-            let mut b1 = 7usize;
-            let mut b2 = 7usize;
-            let t1 = gen(&mut rng, &labels, &mut b1, 0);
-            let t2 = gen(&mut rng, &labels, &mut b2, 0);
+            let t1 = gen(&mut rng, &mut 7, 0);
+            let t2 = gen(&mut rng, &mut 7, 0);
             let expect = naive_ted(&t1, &t2, CostModel::UNIT);
-            for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
-                assert_eq!(
-                    ted_with(&t1, &t2, CostModel::UNIT, s),
-                    expect,
-                    "strategy {s:?} on {t1} vs {t2}"
-                );
-            }
-            for mode in KernelMode::ABLATION {
-                assert_eq!(
-                    ted_with_mode(&t1, &t2, CostModel::UNIT, Strategy::Auto, mode),
-                    expect,
-                    "mode {mode:?} on {t1} vs {t2}"
-                );
+            assert_eq!(unit(&t1, &t2), expect, "{t1} vs {t2}");
+            for mode in KernelMode::ALL {
+                for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
+                    assert_eq!(
+                        ted_with_mode(&t1, &t2, CostModel::UNIT, s, mode),
+                        expect,
+                        "{mode:?} {s:?} on {t1} vs {t2}"
+                    );
+                }
             }
         }
     }
@@ -1746,25 +1560,26 @@ mod tests {
     #[test]
     fn edit_stats_decomposition() {
         // pure relabel
-        let a = t("(f a b)");
-        let b = t("(g a b)");
+        let a = sh("(f a b)");
+        let b = sh("(g a b)");
         assert_eq!(edit_stats(&a, &b), EditStats { inserts: 0, deletes: 0, relabels: 1 });
         // pure insert
-        let c = t("(f a b c)");
+        let c = sh("(f a b c)");
         assert_eq!(edit_stats(&a, &c), EditStats { inserts: 1, deletes: 0, relabels: 0 });
         // pure delete
         assert_eq!(edit_stats(&c, &a), EditStats { inserts: 0, deletes: 1, relabels: 0 });
         // identical
-        assert_eq!(edit_stats(&a, &a.clone()).total(), 0);
+        assert_eq!(edit_stats(&a, &sh("(f a b)")).total(), 0);
         // empty-side closed forms
-        let e = Tree::empty();
+        let e = SharedTree::new(Tree::empty());
         assert_eq!(edit_stats(&e, &a), EditStats { inserts: 3, deletes: 0, relabels: 0 });
         assert_eq!(edit_stats(&a, &e), EditStats { inserts: 0, deletes: 3, relabels: 0 });
         assert_eq!(edit_stats(&e, &e.clone()).total(), 0);
     }
 
     #[test]
-    fn edit_stats_shared_matches_plain() {
+    fn edit_stats_on_warm_views_matches_fresh() {
+        // Warm memoized views answer exactly like freshly wrapped trees.
         let cases = [
             ("(f (d a (c b)) e)", "(f (c (d a b)) e)"),
             ("(a (b c d) e)", "(a (b c) (e d))"),
@@ -1772,36 +1587,23 @@ mod tests {
             ("(f a b)", "(f a b)"),
         ];
         for (sa, sb) in cases {
-            let (ta, tb) = (t(sa), t(sb));
-            let (xa, xb) = (crate::SharedTree::new(ta.clone()), crate::SharedTree::new(tb.clone()));
+            let (xa, xb) = (sh(sa), sh(sb));
             // Twice: the second call runs entirely on memoized views.
             for _ in 0..2 {
-                assert_eq!(edit_stats_shared(&xa, &xb), edit_stats(&ta, &tb), "{sa} vs {sb}");
+                assert_eq!(edit_stats(&xa, &xb), edit_stats(&sh(sa), &sh(sb)), "{sa} vs {sb}");
             }
         }
     }
 
     #[test]
     fn edit_stats_consistent_with_ted() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let labels = ["a", "b", "c"];
-        fn gen(rng: &mut StdRng, labels: &[&str], budget: &mut usize, depth: usize) -> Tree {
-            let l = labels[rng.gen_range(0..labels.len())];
-            let mut children = Vec::new();
-            while *budget > 0 && depth < 4 && rng.gen_bool(0.5) {
-                *budget -= 1;
-                children.push(gen(rng, labels, budget, depth + 1));
-            }
-            Tree::node(l, children)
-        }
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for _ in 0..40 {
-            let mut b1 = 8usize;
-            let mut b2 = 8usize;
-            let t1 = gen(&mut rng, &labels, &mut b1, 0);
-            let t2 = gen(&mut rng, &labels, &mut b2, 0);
+            let t1 = SharedTree::new(gen(&mut rng, &mut 8, 0));
+            let t2 = SharedTree::new(gen(&mut rng, &mut 8, 0));
             let stats = edit_stats(&t1, &t2);
-            assert_eq!(stats.total(), ted(&t1, &t2), "{t1} vs {t2}");
+            assert_eq!(stats.total(), ted(&t1, &t2, CostModel::UNIT), "{t1} vs {t2}");
             assert_eq!(
                 stats.inserts as i64 - stats.deletes as i64,
                 t2.size() as i64 - t1.size() as i64,
@@ -1836,41 +1638,42 @@ mod tests {
         assert_eq!(cell_width(a.size(), b.size(), cm), CellWidth::U64);
         // Optimal script: relabel f→g (1), delete a and b (2·u32::MAX).
         let expect = 2 * u64::from(u32::MAX) + 1;
-        for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
-            assert_eq!(ted_with(&a, &b, cm, s), expect, "{s:?}");
-        }
-        for mode in KernelMode::ABLATION {
-            assert_eq!(ted_with_mode(&a, &b, cm, Strategy::Auto, mode), expect, "{mode:?}");
+        let (xa, xb) = (SharedTree::new(a.clone()), SharedTree::new(b.clone()));
+        assert_eq!(ted(&xa, &xb, cm), expect);
+        for mode in KernelMode::ALL {
+            for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
+                assert_eq!(ted_with_mode(&a, &b, cm, s, mode), expect, "{mode:?} {s:?}");
+            }
         }
         assert_eq!(naive_ted(&a, &b, cm), expect);
         // And the empty-tree short-circuits stay in u64 as well.
-        let e = Tree::empty();
-        assert_eq!(ted_with(&a, &e, cm, Strategy::Auto), 3 * u64::from(u32::MAX));
+        let e = SharedTree::new(Tree::empty());
+        assert_eq!(ted(&xa, &e, cm), 3 * u64::from(u32::MAX));
     }
 
     #[test]
     fn bounded_ted_accepts_within_budget() {
-        let a = t("(f (g a b) c)");
-        let b = t("(f (g a) c d)");
-        let d = ted_bounded(&a, &b, CostModel::UNIT, Strategy::Auto, 1 << 20).unwrap();
-        assert_eq!(d, ted(&a, &b));
+        let a = sh("(f (g a b) c)");
+        let b = sh("(f (g a) c d)");
+        let d = ted_bounded(&a, &b, CostModel::UNIT, 1 << 20).unwrap();
+        assert_eq!(d, ted(&a, &b, CostModel::UNIT));
     }
 
     #[test]
     fn bounded_ted_refuses_oversize_pairs() {
         // The GROMACS scenario: two trees big enough that the DP tables
         // blow a workstation budget — refuse instead of allocating.
-        fn chain(n: u32) -> Tree {
+        fn chain(n: u32) -> SharedTree {
             let mut t = Tree::leaf("n");
             let mut cur = t.root().unwrap();
             for _ in 1..n {
                 cur = t.push_child(cur, "n", None);
             }
-            t
+            SharedTree::new(t)
         }
         let a = chain(50_000);
         let b = chain(50_000);
-        let e = ted_bounded(&a, &b, CostModel::UNIT, Strategy::Auto, 1 << 30).unwrap_err();
+        let e = ted_bounded(&a, &b, CostModel::UNIT, 1 << 30).unwrap_err();
         let TedError::BudgetExceeded { needed_bytes, budget_bytes } = e;
         assert!(needed_bytes > budget_bytes);
         assert!(needed_bytes > 10_u64.pow(9), "{needed_bytes}");
@@ -1901,19 +1704,12 @@ mod tests {
         }
         let a = big(2000, "x");
         let b = big(2000, "y");
-        let d = ted(&a, &b);
+        let d = unit(&a, &b);
         assert!(d > 0);
         assert!(d <= (a.size() + b.size()) as u64);
-        // All kernel stages agree on a non-trivial workload.
-        let expect = ted_with_mode(&a, &b, CostModel::UNIT, Strategy::Auto, KernelMode::Baseline);
-        assert_eq!(d, expect);
-        for mode in [KernelMode::Arena, KernelMode::ArenaNarrow, KernelMode::Full, KernelMode::Simd]
-        {
-            assert_eq!(
-                ted_with_mode(&a, &b, CostModel::UNIT, Strategy::Auto, mode),
-                expect,
-                "{mode:?}"
-            );
+        // Every kernel agrees on a non-trivial workload.
+        for mode in KernelMode::ALL {
+            assert_eq!(ted_with_mode(&a, &b, CostModel::UNIT, Strategy::Auto, mode), d, "{mode:?}");
         }
     }
 
@@ -1925,20 +1721,6 @@ mod tests {
         // both whole-tree and forest rows in play.  Small proptest trees
         // never reach the 16-wide blocks, so this is the unit-level guard
         // for the wide path (the bench asserts the same on real corpora).
-        fn bushy(n: usize, fan: usize, flavour: &str) -> Tree {
-            let mut tr = Tree::leaf("root");
-            let mut cur = tr.root().unwrap();
-            for i in 0..n {
-                let id = tr.push_child(cur, format!("{flavour}{}", i % 13), None);
-                if i % fan == fan - 1 {
-                    cur = id;
-                }
-                if i % (5 * fan) == 0 {
-                    cur = tr.root().unwrap();
-                }
-            }
-            tr
-        }
         for (fan_a, fan_b) in [(40usize, 37usize), (23, 61)] {
             let a = bushy(900, fan_a, "p");
             let b = bushy(900, fan_b, "q");
@@ -1951,19 +1733,32 @@ mod tests {
             // Banded: the iff-contract at thresholds straddling the distance.
             for tau in [0, expect - 1, expect, expect + 1, 2 * expect + 3] {
                 let want = (expect <= tau).then_some(expect);
-                assert_eq!(
-                    ted_within_with_mode(
-                        &a,
-                        &b,
-                        CostModel::UNIT,
-                        Strategy::Auto,
-                        tau,
-                        KernelMode::Simd
-                    ),
-                    want,
-                    "banded, tau={tau}, fans {fan_a}/{fan_b}"
-                );
+                for mode in [KernelMode::Full, KernelMode::Simd] {
+                    assert_eq!(
+                        ted_within_with_mode(&a, &b, CostModel::UNIT, Strategy::Auto, tau, mode),
+                        want,
+                        "banded {mode:?}, tau={tau}, fans {fan_a}/{fan_b}"
+                    );
+                }
             }
         }
+    }
+
+    /// A wide-fan tree of `n + 1` nodes: every `fan`-th node descends, every
+    /// `5·fan`-th resets to the root.  Its long DP rows reach the widest SIMD
+    /// lane tier.
+    pub(crate) fn bushy(n: usize, fan: usize, flavour: &str) -> Tree {
+        let mut tr = Tree::leaf("root");
+        let mut cur = tr.root().unwrap();
+        for i in 0..n {
+            let id = tr.push_child(cur, format!("{flavour}{}", i % 13), None);
+            if i % fan == fan - 1 {
+                cur = id;
+            }
+            if i % (5 * fan) == 0 {
+                cur = tr.root().unwrap();
+            }
+        }
+        tr
     }
 }

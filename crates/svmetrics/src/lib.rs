@@ -20,7 +20,7 @@
 
 pub mod secondary;
 
-use svdist::{edit_distance_onp, ted_shared, CostModel, DistanceMatrix, SharedTree, Strategy};
+use svdist::{edit_distance_onp, ted, CostModel, DistanceMatrix, SharedTree};
 use svlang::unit::Unit;
 use svtree::mask::CoverageMask;
 
@@ -350,7 +350,7 @@ pub fn divergence(
             let ta = tree_of(from, metric, v);
             let tb = tree_of(to, metric, v);
             let _s = svtrace::span!("ted.compute", unit = to.art.name, metric = metric.name());
-            let d = ted_shared(&ta, &tb, CostModel::UNIT, Strategy::Auto);
+            let d = ted(&ta, &tb, CostModel::UNIT);
             let dv = Divergence { distance: d, dmax: tb.size().max(1) as u64 };
             obs::record_pair(dv.distance, dv.dmax);
             dv
@@ -378,7 +378,7 @@ pub fn try_divergence(
         Metric::TSrc | Metric::TSem | Metric::TIr => {
             let ta = tree_of(from, metric, v);
             let tb = tree_of(to, metric, v);
-            let d = svdist::ted_bounded(&ta, &tb, CostModel::UNIT, Strategy::Auto, max_bytes)?;
+            let d = svdist::ted_bounded(&ta, &tb, CostModel::UNIT, max_bytes)?;
             Ok(Divergence { distance: d, dmax: tb.size().max(1) as u64 })
         }
         other => Ok(divergence(other, v, from, to)),
@@ -490,7 +490,7 @@ fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
             // Each tree's decompositions were memoised on first use, so
             // the O(n²) pair loop performs O(n) decompositions in total.
             let _s = svtrace::span!("ted.compute", a = a.size(), b = b.size());
-            let d = ted_shared(a, b, CostModel::UNIT, Strategy::Auto);
+            let d = ted(a, b, CostModel::UNIT);
             obs::record_pair(d, a.size().max(b.size()).max(1) as u64);
             d as f64 / (a.size().max(b.size()).max(1)) as f64
         }
@@ -500,7 +500,7 @@ fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
 
 /// Estimated DP cost of one matrix cell, used only to order the parallel
 /// schedule (largest first).  Tree pairs cost roughly `|T1|·|T2|` — except
-/// hash-equal pairs, which the [`ted_shared`] short-circuit answers without
+/// hash-equal pairs, which the [`ted`] short-circuit answers without
 /// any DP, so they sort with the free cells.  The structural hashes are
 /// memoised on the [`SharedTree`]s, so estimating costs no extra tree walks.
 fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
@@ -598,7 +598,7 @@ pub struct ApproxStats {
 /// 2. **bound** — `svdist::pqgram_lb` over the memoized
 ///    [`TreeProfile`](svdist::TreeProfile)s of all representative pairs;
 /// 3. **resolve** — pairs whose bound lands inside the frontier run the
-///    banded threshold kernel `svdist::ted_within_shared` with
+///    banded threshold kernel `svdist::ted_within` with
 ///    `tau = frontier · dmax`; everything else keeps its bound.
 pub fn approx_tree_matrix(
     labels: &[String],
@@ -684,7 +684,7 @@ pub fn approx_tree_matrix(
         let (a, b) = (&trees[reps[gi]], &trees[reps[gj]]);
         let dmax = a.size().max(b.size()).max(1) as u64;
         let tau = (frontier * dmax as f64).floor() as u64;
-        match svdist::ted_within_shared(a, b, CostModel::UNIT, Strategy::Auto, tau) {
+        match svdist::ted_within(a, b, CostModel::UNIT, tau) {
             Some(d) => {
                 obs::record_pair(d, dmax);
                 (cell_of(d, gi, gj), true)

@@ -14,7 +14,7 @@
 //! stored where an exact request would read them back.
 
 use crate::cache::{fnv1a, CacheKey, CachedPair, TedCache};
-use svdist::{edit_distance_onp, ted_shared, CostModel, SharedTree, Strategy};
+use svdist::{edit_distance_onp, ted, CostModel, SharedTree};
 use svmetrics::{lines_of, tree_of, Divergence, Measured, Metric, Variant};
 
 /// Discriminant of the (only) TED cost model in use: unit costs.
@@ -114,7 +114,7 @@ fn raw_distance(a: &FpArtifact, b: &FpArtifact) -> u64 {
     match (a, b) {
         (FpArtifact::Tree { tree: ta, .. }, FpArtifact::Tree { tree: tb, .. }) => {
             let _s = svtrace::span!("ted.compute", a = ta.size(), b = tb.size());
-            ted_shared(ta, tb, CostModel::UNIT, Strategy::Auto)
+            ted(ta, tb, CostModel::UNIT)
         }
         (FpArtifact::Lines { lines: la, .. }, FpArtifact::Lines { lines: lb, .. }) => {
             let _s = svtrace::span!("source.edit_distance", a = la.len(), b = lb.len());
@@ -212,7 +212,6 @@ pub fn matrix_cell(metric: Metric, pair: &CachedPair) -> f64 {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use svdist::ted;
     use svtree::Tree;
 
     fn tree_a() -> Tree {
@@ -234,7 +233,8 @@ mod tests {
         let computes = AtomicU64::new(0);
         let (a, b) = (fp_art(&tree_a()), fp_art(&tree_b()));
         let p1 = pair_cached(&cache, Metric::TSem, Variant::PLAIN, &a, &b, &computes);
-        assert_eq!(p1.distance, ted(&tree_a(), &tree_b()));
+        let direct = ted(&SharedTree::new(tree_a()), &SharedTree::new(tree_b()), CostModel::UNIT);
+        assert_eq!(p1.distance, direct);
         assert_eq!(p1.weight_lo, tree_a().size() as u64);
         assert_eq!(p1.weight_hi, tree_b().size() as u64);
         assert_eq!(computes.load(Ordering::Relaxed), 1);

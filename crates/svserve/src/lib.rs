@@ -63,7 +63,7 @@ mod proptests {
     use crate::cached::{pair_cached, FpArtifact};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicU64;
-    use svdist::ted;
+    use svdist::{ted, CostModel, SharedTree};
     use svmetrics::{Metric, Variant};
     use svtree::Tree;
 
@@ -86,8 +86,13 @@ mod proptests {
         Tree::node(name, children)
     }
 
+    /// The uncached distance, over fresh shared wrappers.
+    fn direct(a: &Tree, b: &Tree) -> u64 {
+        ted(&SharedTree::new(a.clone()), &SharedTree::new(b.clone()), CostModel::UNIT)
+    }
+
     fn fp(t: &Tree) -> FpArtifact {
-        let tree = svdist::SharedTree::new(t.clone());
+        let tree = SharedTree::new(t.clone());
         FpArtifact::Tree { fp: tree.structural_hash(), tree }
     }
 
@@ -100,7 +105,7 @@ mod proptests {
             let cache = TedCache::new(1 << 16);
             let computes = AtomicU64::new(0);
             let (fa, fb) = (fp(&a), fp(&b));
-            let direct = ted(&a, &b);
+            let direct = direct(&a, &b);
             // Cold: computed; warm: served — both must equal the direct TED.
             let cold = pair_cached(&cache, Metric::TSem, Variant::PLAIN, &fa, &fb, &computes);
             let warm = pair_cached(&cache, Metric::TSem, Variant::PLAIN, &fa, &fb, &computes);
@@ -133,7 +138,7 @@ mod proptests {
                             &cache, Metric::TSem, Variant::PLAIN,
                             &arts[i], &arts[j], &computes,
                         );
-                        prop_assert_eq!(p.distance, ted(trees[i], trees[j]));
+                        prop_assert_eq!(p.distance, direct(trees[i], trees[j]));
                     }
                 }
             }

@@ -109,7 +109,8 @@ const TREE_MAGIC: &[u8; 4] = b"SVTR";
 const TREE_VERSION: u8 = 2;
 
 /// Probe a buffer for the svpack tree magic; returns the format version
-/// byte when it matches (readers accept versions 1 and 2).  The mmap'd
+/// byte when it matches (readers accept only version 2, and answer any
+/// other byte with [`PackError::BadVersion`]).  The mmap'd
 /// artifact store and the binary wire protocol use this to validate
 /// svpack records without decoding them.
 pub fn probe_tree(buf: &[u8]) -> Option<u8> {
@@ -123,8 +124,8 @@ pub fn probe_tree(buf: &[u8]) -> Option<u8> {
 /// pre-order, written once), followed by three pre-order columns — label
 /// indices, arities, spans.  The writer never hashes or copies label bytes
 /// per node (the dense remap is an array over symbol ids), and the columnar
-/// layout groups similar varints so the svz pass compresses better than the
-/// v1 interleaved records.
+/// layout groups similar varints so the svz pass compresses better than
+/// the interleaved records of the retired v1 format.
 pub fn write_tree(tree: &Tree) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + tree.size() * 4);
     out.extend_from_slice(TREE_MAGIC);
@@ -168,47 +169,6 @@ pub fn write_tree(tree: &Tree) -> Vec<u8> {
                 write_varint(&mut out, u64::from(s.end_line - s.start_line));
             }
         }
-    }
-    out
-}
-
-/// Serialise a tree to the legacy svpack v1 format (first-seen string table,
-/// interleaved pre-order node records).  Kept for compatibility tests; new
-/// payloads are always written as v2.
-pub fn write_tree_v1(tree: &Tree) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + tree.size() * 4);
-    out.extend_from_slice(TREE_MAGIC);
-    out.push(1);
-
-    // Build the label table in first-seen (pre-order) order.
-    let mut table: Vec<&str> = Vec::new();
-    let mut index: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for id in tree.preorder() {
-        let l = tree.label(id);
-        if !index.contains_key(l) {
-            index.insert(l, table.len() as u64);
-            table.push(l);
-        }
-    }
-    write_varint(&mut out, table.len() as u64);
-    for l in &table {
-        write_varint(&mut out, l.len() as u64);
-        out.extend_from_slice(l.as_bytes());
-    }
-
-    write_varint(&mut out, tree.size() as u64);
-    for id in tree.preorder() {
-        write_varint(&mut out, index[tree.label(id)]);
-        match tree.span(id) {
-            None => out.push(0),
-            Some(s) => {
-                out.push(1);
-                write_varint(&mut out, u64::from(s.file));
-                write_varint(&mut out, u64::from(s.start_line));
-                write_varint(&mut out, u64::from(s.end_line - s.start_line));
-            }
-        }
-        write_varint(&mut out, tree.arity(id) as u64);
     }
     out
 }
@@ -280,7 +240,7 @@ fn assemble_preorder(
     Ok(tree)
 }
 
-/// Deserialise a tree from the svpack binary format (v1 or v2 payloads).
+/// Deserialise a tree from the svpack v2 binary format.
 pub fn read_tree(buf: &[u8]) -> Result<Tree, PackError> {
     read_tree_in(std::sync::Arc::new(crate::Interner::new()), buf)
 }
@@ -295,9 +255,8 @@ pub fn read_tree_in(
     if buf.len() < 5 || &buf[0..4] != TREE_MAGIC {
         return Err(PackError::BadMagic);
     }
-    let version = buf[4];
-    if version != 1 && version != 2 {
-        return Err(PackError::BadVersion(version));
+    if buf[4] != TREE_VERSION {
+        return Err(PackError::BadVersion(buf[4]));
     }
     let mut pos = 5usize;
 
@@ -309,20 +268,7 @@ pub fn read_tree_in(
         return Ok(Tree::empty_in(interner));
     }
 
-    if version == 1 {
-        // v1: interleaved (label idx, span, arity) records.
-        let mut nodes = Vec::with_capacity(node_count.min(buf.len()));
-        for _ in 0..node_count {
-            let label_idx = read_varint(buf, &mut pos)?;
-            let sym = *syms.get(label_idx as usize).ok_or(PackError::BadIndex(label_idx))?;
-            let span = read_span(buf, &mut pos)?;
-            let arity = read_varint(buf, &mut pos)?;
-            nodes.push((sym, span, arity));
-        }
-        return assemble_preorder(interner, nodes.into_iter());
-    }
-
-    // v2: columnar (labels, arities, spans).
+    // Columnar: labels, arities, spans.
     let cap = node_count.min(buf.len());
     let mut node_syms = Vec::with_capacity(cap);
     for _ in 0..node_count {
@@ -540,22 +486,12 @@ mod tests {
         assert_eq!(back, t);
     }
 
-    #[test]
-    fn v1_payload_still_decodes() {
-        let t = sample_tree();
-        let v1 = write_tree_v1(&t);
-        assert_eq!(v1[4], 1);
-        let back = read_tree(&v1).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.structural_hash(), t.structural_hash());
-    }
+    /// A one-leaf payload in the retired v1 format (interleaved records).
+    const V1_LEAF: &[u8] = b"SVTR\x01\x01\x01x\x01\x00\x00\x00";
 
     #[test]
-    fn v1_and_v2_agree_on_empty_and_leaf() {
-        for t in [Tree::empty(), Tree::leaf("OnlyNode")] {
-            assert_eq!(read_tree(&write_tree_v1(&t)).unwrap(), t);
-            assert_eq!(read_tree(&write_tree(&t)).unwrap(), t);
-        }
+    fn v1_payload_is_rejected_with_bad_version() {
+        assert_eq!(read_tree(V1_LEAF), Err(PackError::BadVersion(1)));
     }
 
     #[test]
@@ -583,7 +519,7 @@ mod tests {
         let t = sample_tree();
         let table = std::sync::Arc::new(crate::Interner::new());
         let a = read_tree_in(std::sync::Arc::clone(&table), &write_tree(&t)).unwrap();
-        let b = read_tree_in(std::sync::Arc::clone(&table), &write_tree_v1(&t)).unwrap();
+        let b = read_tree_in(std::sync::Arc::clone(&table), &write_tree(&t)).unwrap();
         assert_eq!(a, t);
         assert_eq!(b, t);
         assert!(std::sync::Arc::ptr_eq(a.interner(), &table));
@@ -592,9 +528,8 @@ mod tests {
 
     #[test]
     fn v1_truncated_errors() {
-        let bytes = write_tree_v1(&sample_tree());
-        for cut in [5, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(read_tree(&bytes[..cut]).is_err(), "v1 cut at {cut} must fail");
+        for cut in 0..V1_LEAF.len() {
+            assert!(read_tree(&V1_LEAF[..cut]).is_err(), "v1 cut at {cut} must fail");
         }
     }
 
@@ -609,7 +544,7 @@ mod tests {
     fn probe_identifies_svpack_versions() {
         let t = sample_tree();
         assert_eq!(probe_tree(&write_tree(&t)), Some(2));
-        assert_eq!(probe_tree(&write_tree_v1(&t)), Some(1));
+        assert_eq!(probe_tree(V1_LEAF), Some(1));
         assert_eq!(probe_tree(b"SVTR"), None); // no version byte yet
         assert_eq!(probe_tree(b"not a pack"), None);
         assert_eq!(probe_tree(&[]), None);

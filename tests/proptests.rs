@@ -3,14 +3,14 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use svdist::ted::{
-    cell_width, naive_ted, ted_with, ted_with_mode, ted_within_with_mode, CellWidth, CostModel,
-    KernelMode, Strategy as TedStrategy,
+    cell_width, naive_ted, ted_with_mode, ted_within_with_mode, CellWidth, CostModel, KernelMode,
+    Strategy as TedStrategy,
 };
 use svdist::{
-    edit_distance_onp, label_histogram_lb, lcs_len, levenshtein, pqgram_lb, ted_shared, ted_within,
-    ted_within_shared, SharedTree, TreeProfile,
+    edit_distance_onp, label_histogram_lb, lcs_len, levenshtein, pqgram_lb, ted, ted_within,
+    SharedTree, TreeProfile,
 };
-use svtree::pack::{compress, decompress, read_tree, write_tree, write_tree_v1};
+use svtree::pack::{compress, decompress, read_tree, write_tree};
 use svtree::{Interner, NodeId, Span, Tree, TreeBuilder};
 
 // ---------------------------------------------------------------------------
@@ -81,6 +81,13 @@ fn reinterned_onto(table: &Arc<Interner>, t: &Tree) -> Tree {
     }
 }
 
+const STRATEGIES: [TedStrategy; 3] = [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto];
+
+/// Unit-cost production TED over fresh shared wrappers of plain trees.
+fn unit_ted(a: &Tree, b: &Tree) -> u64 {
+    ted(&SharedTree::new(a.clone()), &SharedTree::new(b.clone()), CostModel::UNIT)
+}
+
 // ---------------------------------------------------------------------------
 // TED metric axioms (cross-validated against the independent oracle)
 // ---------------------------------------------------------------------------
@@ -91,8 +98,11 @@ proptest! {
     #[test]
     fn ted_matches_oracle(a in arb_tree(9), b in arb_tree(9)) {
         let expect = naive_ted(&a, &b, CostModel::UNIT);
-        for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
-            prop_assert_eq!(ted_with(&a, &b, CostModel::UNIT, s), expect);
+        prop_assert_eq!(unit_ted(&a, &b), expect);
+        for s in STRATEGIES {
+            for mode in KernelMode::ALL {
+                prop_assert_eq!(ted_with_mode(&a, &b, CostModel::UNIT, s, mode), expect);
+            }
         }
     }
 
@@ -104,12 +114,14 @@ proptest! {
         ins in 1u32..50,
         rel in 1u32..50,
     ) {
-        // Non-unit weights exercise the widened u64 DP cells: every
-        // strategy must agree with the independent recursive oracle.
+        // Non-unit weights: the production entry and every strategy of
+        // the production kernel must agree with the independent
+        // recursive oracle.
         let costs = CostModel { delete: del, insert: ins, relabel: rel };
         let expect = naive_ted(&a, &b, costs);
-        for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
-            prop_assert_eq!(ted_with(&a, &b, costs, s), expect);
+        prop_assert_eq!(ted(&SharedTree::new(a.clone()), &SharedTree::new(b.clone()), costs), expect);
+        for s in STRATEGIES {
+            prop_assert_eq!(ted_with_mode(&a, &b, costs, s, KernelMode::Simd), expect);
         }
     }
 
@@ -117,27 +129,33 @@ proptest! {
     fn kernel_modes_match_oracle_under_boundary_cost_models(
         a in arb_tree(8),
         b in arb_tree(8),
-        del_i in 0usize..7,
-        ins_i in 0usize..7,
+        del_i in 0usize..8,
+        ins_i in 0usize..8,
         rel_i in 0usize..7,
     ) {
         // Weight palette mixing tiny values (narrow kernel) with boundary
-        // values near u32::MAX (u64 fallback) and zero-cost operations
-        // (degenerate ramps/scans in the vector kernel).
-        const DEL: [u32; 7] = [1, 2, 49, 1 << 27, u32::MAX - 1, u32::MAX, 0];
-        const INS: [u32; 7] = [1, 3, 47, 1 << 27, u32::MAX - 1, u32::MAX, 0];
+        // values near u32::MAX (u64 fallback), zero-cost operations
+        // (degenerate ramps/scans in the vector kernel), and 1.5e9, where
+        // one-node trees still fit u32 cells but 3·cost does not.
+        const DEL: [u32; 8] = [1, 2, 49, 1 << 27, 1_500_000_000, u32::MAX - 1, u32::MAX, 0];
+        const INS: [u32; 8] = [1, 3, 47, 1 << 27, 1_500_000_000, u32::MAX - 1, u32::MAX, 0];
         const REL: [u32; 7] = [1, 5, 43, 1 << 27, u32::MAX - 1, u32::MAX, 0];
         let (del, ins, rel) = (DEL[del_i], INS[ins_i], REL[rel_i]);
-        // Every ablation stage of the kernel — allocating baseline, arena,
-        // arena + width-adaptive cells, and the full branch-split kernel —
-        // must agree with the oracle, including near-u32::MAX weights that
-        // force the u64 fallback (the adaptive selection is what keeps the
-        // narrow kernel from ever wrapping).
+        // Every kernel — the allocating baseline, the scalar arena kernel
+        // and the SIMD kernel — must agree with the oracle under every
+        // strategy, including near-u32::MAX weights that force the u64
+        // fallback (the adaptive selection is what keeps the narrow
+        // kernel from ever wrapping).
         let costs = CostModel { delete: del, insert: ins, relabel: rel };
-        let expect = naive_ted(&a, &b, costs);
-        for mode in KernelMode::ABLATION {
-            for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
-                prop_assert_eq!(ted_with_mode(&a, &b, costs, s, mode), expect);
+        // Both orientations: under asymmetric costs the swapped pair is a
+        // different problem (and a one-node tree on either side may be
+        // the narrow-cell target).
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let expect = naive_ted(x, y, costs);
+            for mode in KernelMode::ALL {
+                for s in STRATEGIES {
+                    prop_assert_eq!(ted_with_mode(x, y, costs, s, mode), expect);
+                }
             }
         }
         // Small weights must actually exercise the narrow kernel; huge
@@ -156,21 +174,18 @@ proptest! {
         b in arb_tree(10),
         duplicate in any::<bool>(),
     ) {
-        // `ted_with` short-circuits hash-equal pairs to 0 without any DP;
+        // `ted` short-circuits hash-equal pairs to 0 without any DP;
         // `ted_with_mode` bypasses that and always runs the kernel.  On
         // randomly duplicated trees (and on arbitrary pairs) both answers
         // must coincide — the short-circuit is an optimisation, never an
         // approximation.
         let b = if duplicate { a.clone() } else { b };
-        let fast = ted_with(&a, &b, CostModel::UNIT, TedStrategy::Auto);
         let full = ted_with_mode(&a, &b, CostModel::UNIT, TedStrategy::Auto, KernelMode::Full);
+        let fast = unit_ted(&a, &b);
         prop_assert_eq!(fast, full);
         if duplicate {
             prop_assert_eq!(fast, 0);
         }
-        // Shared trees take the same short-circuit through memoized hashes.
-        let (sa, sb) = (SharedTree::new(a), SharedTree::new(b));
-        prop_assert_eq!(ted_shared(&sa, &sb, CostModel::UNIT, TedStrategy::Auto), full);
     }
 
     #[test]
@@ -187,13 +202,15 @@ proptest! {
         // views or not.
         let costs = CostModel { delete: del, insert: ins, relabel: rel };
         let expect = naive_ted(&a, &b, costs);
-        // Cross-table: each arb tree has its own interner.
+        // Cross-table: each arb tree has its own interner.  Same-table:
+        // rebuild b onto a's interner.
+        let b_same = reinterned_onto(a.interner(), &b);
         let (sa, sb) = (SharedTree::new(a.clone()), SharedTree::new(b.clone()));
-        // Same-table: rebuild b onto a's interner.
-        let b_same = SharedTree::new(reinterned_onto(a.interner(), &b));
-        for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
-            prop_assert_eq!(ted_shared(&sa, &sb, costs, s), expect);
-            prop_assert_eq!(ted_shared(&sa, &b_same, costs, s), expect);
+        prop_assert_eq!(ted(&sa, &sb, costs), expect);
+        prop_assert_eq!(ted(&sa, &SharedTree::new(b_same.clone()), costs), expect);
+        for s in STRATEGIES {
+            prop_assert_eq!(ted_with_mode(&a, &b, costs, s, KernelMode::Simd), expect);
+            prop_assert_eq!(ted_with_mode(&a, &b_same, costs, s, KernelMode::Simd), expect);
         }
     }
 
@@ -202,25 +219,22 @@ proptest! {
         // The artifact layer must be invisible: memoised decompositions
         // give bit-identical distances to the fresh-build path.
         let (sa, sb) = (SharedTree::new(a.clone()), SharedTree::new(b.clone()));
-        let plain = svdist::ted(&a, &b);
+        let plain = ted_with_mode(&a, &b, CostModel::UNIT, TedStrategy::Auto, KernelMode::Simd);
         // Twice: the first call populates the memos, the second reuses them.
         for _ in 0..2 {
-            prop_assert_eq!(
-                ted_shared(&sa, &sb, CostModel::UNIT, TedStrategy::Auto),
-                plain
-            );
+            prop_assert_eq!(ted(&sa, &sb, CostModel::UNIT), plain);
         }
     }
 
     #[test]
     fn ted_identity_and_symmetry(a in arb_tree(12), b in arb_tree(12)) {
-        prop_assert_eq!(svdist::ted(&a, &a), 0);
-        prop_assert_eq!(svdist::ted(&a, &b), svdist::ted(&b, &a));
+        prop_assert_eq!(unit_ted(&a, &a), 0);
+        prop_assert_eq!(unit_ted(&a, &b), unit_ted(&b, &a));
     }
 
     #[test]
     fn ted_bounded_by_sizes(a in arb_tree(12), b in arb_tree(12)) {
-        let d = svdist::ted(&a, &b);
+        let d = unit_ted(&a, &b);
         prop_assert!(d <= (a.size() + b.size()) as u64);
         prop_assert!(d >= a.size().abs_diff(b.size()) as u64);
     }
@@ -228,9 +242,10 @@ proptest! {
     #[test]
     fn ted_triangle_inequality(a in arb_tree(7), b in arb_tree(7), c in arb_tree(7)) {
         // TED is a true metric on ordered labelled trees.
-        let ab = svdist::ted(&a, &b);
-        let bc = svdist::ted(&b, &c);
-        let ac = svdist::ted(&a, &c);
+        let (a, b, c) = (SharedTree::new(a), SharedTree::new(b), SharedTree::new(c));
+        let ab = ted(&a, &b, CostModel::UNIT);
+        let bc = ted(&b, &c, CostModel::UNIT);
+        let ac = ted(&a, &c, CostModel::UNIT);
         prop_assert!(ac <= ab + bc, "d(a,c)={ac} > d(a,b)+d(b,c)={}", ab + bc);
     }
 
@@ -255,7 +270,7 @@ proptest! {
             let (pa, pb) = (TreeProfile::build(&a), TreeProfile::build(&b));
             let hist = label_histogram_lb(&pa, &pb, costs);
             let pq = pqgram_lb(&pa, &pb, costs);
-            let exact = ted_with(&a, &b, costs, TedStrategy::Auto);
+            let exact = ted_with_mode(&a, &b, costs, TedStrategy::Auto, KernelMode::Simd);
             prop_assert!(hist <= pq, "hist lb {hist} > pqgram lb {pq}");
             prop_assert!(pq <= exact, "pqgram lb {pq} > ted {exact} ({costs:?})");
         }
@@ -271,13 +286,16 @@ proptest! {
     ) {
         // `ted_within(tau)` returns `Some(d)` iff the exact distance is
         // `d <= tau` — at tau right below, at, and above the distance,
-        // under boundary cost models, in every strategy, and in both the
-        // allocating baseline and the vector banded kernels.
+        // under boundary cost models, through the production entry
+        // (profile prefilter + memoized decompositions) and through the
+        // allocating baseline, the scalar banded and the vector banded
+        // kernels in every strategy.
         const DEL: [u32; 7] = [1, 2, 49, 1 << 27, u32::MAX - 1, u32::MAX, 0];
         const INS: [u32; 7] = [1, 3, 47, 1 << 27, u32::MAX - 1, u32::MAX, 0];
         const REL: [u32; 7] = [1, 5, 43, 1 << 27, u32::MAX - 1, u32::MAX, 0];
         let costs = CostModel { delete: DEL[del_i], insert: INS[ins_i], relabel: REL[rel_i] };
-        let exact = ted_with(&a, &b, costs, TedStrategy::Auto);
+        let (sa, sb) = (SharedTree::new(a.clone()), SharedTree::new(b.clone()));
+        let exact = ted(&sa, &sb, costs);
         let taus = [
             0,
             exact.saturating_sub(1),
@@ -287,32 +305,19 @@ proptest! {
         ];
         for tau in taus {
             let want = (exact <= tau).then_some(exact);
-            for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
-                prop_assert_eq!(
-                    ted_within(&a, &b, costs, s, tau), want,
-                    "tau={} exact={} {:?} {:?}", tau, exact, s, costs
-                );
+            prop_assert_eq!(
+                ted_within(&sa, &sb, costs, tau), want,
+                "tau={} exact={} {:?}", tau, exact, costs
+            );
+            for mode in KernelMode::ALL {
+                for s in STRATEGIES {
+                    prop_assert_eq!(
+                        ted_within_with_mode(&a, &b, costs, s, tau, mode), want,
+                        "{:?} {:?} disagrees at tau={} {:?}", mode, s, tau, costs
+                    );
+                }
             }
-            prop_assert_eq!(
-                ted_within_with_mode(&a, &b, costs, TedStrategy::Auto, tau, KernelMode::Baseline),
-                want,
-                "baseline kernel disagrees at tau={}", tau
-            );
-            // The Simd mode routes through the vector banded kernel where
-            // the width checks admit the pair (and must agree either way).
-            prop_assert_eq!(
-                ted_within_with_mode(&a, &b, costs, TedStrategy::Auto, tau, KernelMode::Simd),
-                want,
-                "simd banded kernel disagrees at tau={} {:?}", tau, costs
-            );
         }
-        // The shared-tree entry point (profile prefilter + memoized
-        // decompositions) answers identically.
-        let (sa, sb) = (SharedTree::new(a), SharedTree::new(b));
-        prop_assert_eq!(
-            ted_within_shared(&sa, &sb, costs, TedStrategy::Auto, exact),
-            Some(exact)
-        );
     }
 
     // -----------------------------------------------------------------------
@@ -325,19 +330,6 @@ proptest! {
         prop_assert_eq!(bytes[4], 2, "writer emits the v2 columnar format");
         let back = read_tree(&bytes).unwrap();
         prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn svpack_v1_payloads_decode_identically(t in arb_spanned_tree()) {
-        // Legacy v1 payloads (interleaved records, string table rebuilt
-        // from labels) must decode to the same tree as the v2 writer.
-        let v1 = write_tree_v1(&t);
-        prop_assert_eq!(v1[4], 1);
-        let from_v1 = read_tree(&v1).unwrap();
-        let from_v2 = read_tree(&write_tree(&t)).unwrap();
-        prop_assert_eq!(&from_v1, &t);
-        prop_assert_eq!(&from_v1, &from_v2);
-        prop_assert_eq!(from_v1.structural_hash(), t.structural_hash());
     }
 
     #[test]

@@ -116,8 +116,8 @@ fn whole_codebase_single_tree_is_memory_hostile() {
         }
         t
     };
-    let big_a = fuse(&serial);
-    let big_b = fuse(&omp);
+    let big_a = svdist::SharedTree::new(fuse(&serial));
+    let big_b = svdist::SharedTree::new(fuse(&omp));
     let est = svdist::memory_estimate(&big_a, &big_b);
     assert!(
         est > budget,
@@ -125,14 +125,7 @@ fn whole_codebase_single_tree_is_memory_hostile() {
         big_a.size(),
         big_b.size()
     );
-    let err = svdist::ted_bounded(
-        &big_a,
-        &big_b,
-        svdist::CostModel::UNIT,
-        svdist::Strategy::Auto,
-        budget,
-    )
-    .unwrap_err();
+    let err = svdist::ted_bounded(&big_a, &big_b, svdist::CostModel::UNIT, budget).unwrap_err();
     let svdist::TedError::BudgetExceeded { needed_bytes, .. } = err;
     assert_eq!(needed_bytes, est);
 }
