@@ -18,8 +18,20 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use svlang::ast::*;
-use svtree::mask::CoverageMask;
+use svtree::mask::{CoverageMask, LineMask};
+
+/// Deepest nesting of function calls, closure calls and kernel launches a
+/// program may reach.  The interpreter recurses natively once per call, so
+/// without a bound an interpreted `f(x){return f(x);}` would overflow the
+/// host thread's stack and abort the process; past this depth the call
+/// fails with a typed [`ExecError`] instead.  A plain recursive call costs
+/// 2–3 KiB of native stack in a release build and one with six nested
+/// operators in its return expression about 7.5 KiB, so 128 levels stay
+/// well inside the 2 MiB a spawned thread gets by default.  The corpus
+/// nests a handful of calls.
+pub const MAX_CALL_DEPTH: u32 = 128;
 
 /// Runtime error with source line.
 #[derive(Debug, Clone)]
@@ -104,18 +116,25 @@ impl Place {
 }
 
 /// The interpreter.
+///
+/// Functions and struct definitions are copied out of the [`Program`] once,
+/// in [`Interp::new`], and shared by `Rc` from then on; lambda bodies are
+/// shared with the AST.  No call, launch or lambda path copies AST.
 pub struct Interp {
-    pub(crate) fns: HashMap<String, Function>,
-    pub(crate) structs: HashMap<String, StructDef>,
+    pub(crate) fns: HashMap<String, Rc<Function>>,
+    pub(crate) structs: HashMap<String, Rc<StructDef>>,
     pub globals: Env,
-    /// Line coverage recorded while running.
-    pub coverage: CoverageMask,
+    /// Line coverage recorded while running, one dense mask per file index
+    /// (an empty mask means the file never executed).
+    lines: Vec<LineMask>,
     /// Captured `printf` output.
     pub output: String,
     /// Simulated wall clock (advanced by timer intrinsics).
     pub time: f64,
     steps: u64,
     step_limit: u64,
+    /// Current call nesting (see [`MAX_CALL_DEPTH`]).
+    depth: u32,
 }
 
 impl Interp {
@@ -125,19 +144,20 @@ impl Interp {
             fns: HashMap::new(),
             structs: HashMap::new(),
             globals: Env::new(),
-            coverage: CoverageMask::new(),
+            lines: Vec::new(),
             output: String::new(),
             time: 0.0,
             steps: 0,
             step_limit: 400_000_000,
+            depth: 0,
         };
         for item in &prog.items {
             match item {
                 Item::Function(f) if f.body.is_some() => {
-                    it.fns.insert(f.name.clone(), f.clone());
+                    it.fns.insert(f.name.clone(), Rc::new(f.clone()));
                 }
                 Item::Struct(s) => {
-                    it.structs.insert(s.name.clone(), s.clone());
+                    it.structs.insert(s.name.clone(), Rc::new(s.clone()));
                 }
                 _ => {}
             }
@@ -159,6 +179,22 @@ impl Interp {
     /// Cap the number of executed statements (runaway-loop guard).
     pub fn set_step_limit(&mut self, limit: u64) {
         self.step_limit = limit;
+    }
+
+    /// Steps executed so far (the quantity the step limit bounds).
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Line coverage recorded so far, one mask per file that executed.
+    pub fn coverage(&self) -> CoverageMask {
+        let mut cov = CoverageMask::new();
+        for (file, mask) in self.lines.iter().enumerate() {
+            if mask.count() > 0 {
+                cov.insert_file(file as u32, mask.clone());
+            }
+        }
+        cov
     }
 
     /// Run `main()`; returns its exit value.
@@ -183,11 +219,11 @@ impl Interp {
             env.declare(&p.name, a);
         }
         let file = f.file.0;
-        let Some(body) = f.body.clone() else {
+        let Some(body) = &f.body else {
             return Err(ExecError::new(format!("function {} has no body", f.name), f.line));
         };
         self.record(file, f.line);
-        match self.exec_block(&env, file, &body)? {
+        match self.nested(f.line, |it| it.exec_block(&env, file, body))? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Unit),
         }
@@ -198,27 +234,45 @@ impl Interp {
     pub(crate) fn call_closure(
         &mut self,
         c: &Closure,
-        args: Vec<Value>,
-        slots: Vec<Option<Slot>>,
+        args: &[Value],
+        slots: &[Option<Slot>],
     ) -> ExecResult<Value> {
         let env = c.env.child();
         for (i, (name, by_ref)) in c.params.iter().enumerate() {
-            let slot_opt = slots.get(i).cloned().flatten();
-            match (by_ref, slot_opt) {
+            match (by_ref, slots.get(i).cloned().flatten()) {
                 (true, Some(s)) => env.bind(name, s),
                 _ => {
                     env.declare(name, args.get(i).cloned().unwrap_or(Value::Unit));
                 }
             }
         }
-        match self.exec_block(&env, c.file, &c.body)? {
+        match self.nested(c.body.line, |it| it.exec_block(&env, c.file, &c.body))? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Unit),
         }
     }
 
+    /// Run `call` one call level deeper, failing past [`MAX_CALL_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        line: u32,
+        call: impl FnOnce(&mut Interp) -> ExecResult<T>,
+    ) -> ExecResult<T> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(ExecError::new("call depth exceeded", line));
+        }
+        self.depth += 1;
+        let result = call(self);
+        self.depth -= 1;
+        result
+    }
+
     pub(crate) fn record(&mut self, file: u32, line: u32) {
-        self.coverage.record(file, line);
+        let file = file as usize;
+        if file >= self.lines.len() {
+            self.lines.resize_with(file + 1, LineMask::new);
+        }
+        self.lines[file].set(line);
     }
 
     fn tick(&mut self, line: u32) -> ExecResult<()> {
@@ -436,7 +490,7 @@ impl Interp {
                         .iter()
                         .map(|p| (p.name.clone(), matches!(p.ty, Type::Ref(_))))
                         .collect(),
-                    body: body.clone(),
+                    body: Arc::clone(body),
                     env: env.clone(),
                     file,
                 };
@@ -617,7 +671,7 @@ impl Interp {
                         match v {
                             Value::Closure(c) => {
                                 let slots = self.arg_slots(env, args);
-                                return self.call_closure(&c, argv, slots);
+                                return self.call_closure(&c, &argv, &slots);
                             }
                             Value::Native(
                                 Native::View(a) | Native::Accessor(a) | Native::Buffer(a),
@@ -633,13 +687,13 @@ impl Interp {
                             _ => {}
                         }
                     }
-                    if self.fns.contains_key(&p[0]) {
-                        return self.call_named(&p[0].clone(), argv, line);
+                    if let Some(f) = self.fns.get(&p[0]).cloned() {
+                        return self.call_function(&f, argv);
                     }
                 }
                 // `Type(args)` construction is syntactically a call; try the
                 // intrinsic functions first, then constructor dispatch.
-                match intrinsics::free_call(self, p, targs, argv.clone(), line) {
+                match intrinsics::free_call(self, p, targs, &argv, line) {
                     Err(e) if e.message.starts_with("unknown function") => {
                         let ty = Type::Named { path: p.to_vec(), args: targs.to_vec() };
                         self.construct_value(&ty, argv, line)
@@ -652,7 +706,7 @@ impl Interp {
                 match f {
                     Value::Closure(c) => {
                         let slots = self.arg_slots(env, args);
-                        self.call_closure(&c, argv, slots)
+                        self.call_closure(&c, &argv, &slots)
                     }
                     Value::FnRef(name) => self.call_named(&name, argv, line),
                     other => Err(ExecError::new(format!("cannot call {other:?}"), line)),
@@ -700,20 +754,24 @@ impl Interp {
             .ok_or_else(|| ExecError::new(format!("undefined kernel {}", p[0]), line))?;
         let argv: ExecResult<Vec<Value>> = args.iter().map(|a| self.eval(env, file, a)).collect();
         let argv = argv?;
-        for tid in 0..(g * b) {
-            self.tick(line)?;
-            let kenv = self.globals.child();
-            kenv.declare("threadIdx", Value::Native(Native::Dim3 { x: tid % b }));
-            kenv.declare("blockIdx", Value::Native(Native::Dim3 { x: tid / b }));
-            kenv.declare("blockDim", Value::Native(Native::Dim3 { x: b }));
-            kenv.declare("gridDim", Value::Native(Native::Dim3 { x: g }));
-            for (prm, a) in f.params.iter().zip(argv.iter()) {
-                kenv.declare(&prm.name, a.clone());
+        let Some(body) = &f.body else {
+            return Err(ExecError::new(format!("kernel {} has no body", f.name), line));
+        };
+        self.nested(line, |it| {
+            for tid in 0..(g * b) {
+                it.tick(line)?;
+                let kenv = it.globals.child();
+                kenv.declare("threadIdx", Value::Native(Native::Dim3 { x: tid % b }));
+                kenv.declare("blockIdx", Value::Native(Native::Dim3 { x: tid / b }));
+                kenv.declare("blockDim", Value::Native(Native::Dim3 { x: b }));
+                kenv.declare("gridDim", Value::Native(Native::Dim3 { x: g }));
+                for (prm, a) in f.params.iter().zip(argv.iter()) {
+                    kenv.declare(&prm.name, a.clone());
+                }
+                it.exec_block(&kenv, f.file.0, body)?;
             }
-            let body = f.body.clone().unwrap();
-            self.exec_block(&kenv, f.file.0, &body)?;
-        }
-        Ok(Value::Unit)
+            Ok(Value::Unit)
+        })
     }
 
     fn eval_construct(

@@ -99,8 +99,8 @@ pub fn special_form(
             for i in 0..n {
                 it.call_closure(
                     &c,
-                    vec![Value::Int(i), Value::Real(0.0)],
-                    vec![None, Some(acc.clone())],
+                    &[Value::Int(i), Value::Real(0.0)],
+                    &[None, Some(acc.clone())],
                 )?;
             }
             let result = acc.borrow().clone();
@@ -153,14 +153,14 @@ fn apply_functor(it: &mut Interp, f: &Value, a: Value, b: Value, line: u32) -> E
     match f {
         Value::FnRef(op) if op.len() <= 2 => binary_op(op, &a, &b, line),
         Value::FnRef(name) => it.call_named(name, vec![a, b], line),
-        Value::Closure(c) => it.call_closure(c, vec![a, b], vec![None, None]),
+        Value::Closure(c) => it.call_closure(c, &[a, b], &[]),
         other => Err(ExecError::new(format!("not a functor: {other:?}"), line)),
     }
 }
 
 fn call_unary(it: &mut Interp, f: &Value, a: Value, line: u32) -> ExecResult<Value> {
     match f {
-        Value::Closure(c) => it.call_closure(c, vec![a], vec![None]),
+        Value::Closure(c) => it.call_closure(c, &[a], &[]),
         Value::FnRef(name) => it.call_named(name, vec![a], line),
         other => Err(ExecError::new(format!("not callable: {other:?}"), line)),
     }
@@ -171,42 +171,42 @@ pub fn free_call(
     it: &mut Interp,
     path: &[String],
     _targs: &[Type],
-    args: Vec<Value>,
+    args: &[Value],
     line: u32,
 ) -> ExecResult<Value> {
     let joined = path.join("::");
     let last = path.last().map(String::as_str).unwrap_or("");
     match (joined.as_str(), last) {
         // ---- math -------------------------------------------------------
-        (_, "sqrt") => Ok(Value::Real(real_arg(&args, 0, line)?.sqrt())),
+        (_, "sqrt") => Ok(Value::Real(real_arg(args, 0, line)?.sqrt())),
         (_, "fabs" | "abs") => match &args[0] {
             Value::Int(v) => Ok(Value::Int(v.abs())),
             other => Ok(Value::Real(
                 other.as_real().ok_or_else(|| ExecError::new("abs arg", line))?.abs(),
             )),
         },
-        (_, "sin") => Ok(Value::Real(real_arg(&args, 0, line)?.sin())),
-        (_, "cos") => Ok(Value::Real(real_arg(&args, 0, line)?.cos())),
-        (_, "exp") => Ok(Value::Real(real_arg(&args, 0, line)?.exp())),
-        (_, "log") => Ok(Value::Real(real_arg(&args, 0, line)?.ln())),
-        (_, "tanh") => Ok(Value::Real(real_arg(&args, 0, line)?.tanh())),
-        (_, "floor") => Ok(Value::Real(real_arg(&args, 0, line)?.floor())),
-        (_, "ceil") => Ok(Value::Real(real_arg(&args, 0, line)?.ceil())),
-        (_, "pow") => Ok(Value::Real(real_arg(&args, 0, line)?.powf(real_arg(&args, 1, line)?))),
-        (_, "fmin") => Ok(Value::Real(real_arg(&args, 0, line)?.min(real_arg(&args, 1, line)?))),
-        (_, "fmax") => Ok(Value::Real(real_arg(&args, 0, line)?.max(real_arg(&args, 1, line)?))),
+        (_, "sin") => Ok(Value::Real(real_arg(args, 0, line)?.sin())),
+        (_, "cos") => Ok(Value::Real(real_arg(args, 0, line)?.cos())),
+        (_, "exp") => Ok(Value::Real(real_arg(args, 0, line)?.exp())),
+        (_, "log") => Ok(Value::Real(real_arg(args, 0, line)?.ln())),
+        (_, "tanh") => Ok(Value::Real(real_arg(args, 0, line)?.tanh())),
+        (_, "floor") => Ok(Value::Real(real_arg(args, 0, line)?.floor())),
+        (_, "ceil") => Ok(Value::Real(real_arg(args, 0, line)?.ceil())),
+        (_, "pow") => Ok(Value::Real(real_arg(args, 0, line)?.powf(real_arg(args, 1, line)?))),
+        (_, "fmin") => Ok(Value::Real(real_arg(args, 0, line)?.min(real_arg(args, 1, line)?))),
+        (_, "fmax") => Ok(Value::Real(real_arg(args, 0, line)?.max(real_arg(args, 1, line)?))),
         (_, "min") => {
             if let (Value::Int(a), Value::Int(b)) = (&args[0], &args[1]) {
                 Ok(Value::Int(*a.min(b)))
             } else {
-                Ok(Value::Real(real_arg(&args, 0, line)?.min(real_arg(&args, 1, line)?)))
+                Ok(Value::Real(real_arg(args, 0, line)?.min(real_arg(args, 1, line)?)))
             }
         }
         (_, "max") => {
             if let (Value::Int(a), Value::Int(b)) = (&args[0], &args[1]) {
                 Ok(Value::Int(*a.max(b)))
             } else {
-                Ok(Value::Real(real_arg(&args, 0, line)?.max(real_arg(&args, 1, line)?)))
+                Ok(Value::Real(real_arg(args, 0, line)?.max(real_arg(args, 1, line)?)))
             }
         }
 
@@ -220,7 +220,7 @@ pub fn free_call(
             Ok(Value::Int(text.len() as i64))
         }
         ("malloc", _) | ("std::malloc", _) => {
-            let bytes = int_arg(&args, 0, line)?;
+            let bytes = int_arg(args, 0, line)?;
             Ok(Value::Array(new_array((bytes / 8) as usize)))
         }
         ("free", _) | ("std::free", _) => Ok(Value::Unit),
@@ -239,7 +239,7 @@ pub fn free_call(
         ("cudaMemcpy", _) | ("hipMemcpy", _) => {
             let dst = args[0].array().ok_or_else(|| ExecError::new("memcpy dst", line))?;
             let src = args[1].array().ok_or_else(|| ExecError::new("memcpy src", line))?;
-            let n = (int_arg(&args, 2, line)? / 8) as usize;
+            let n = (int_arg(args, 2, line)? / 8) as usize;
             let srcv = src.borrow();
             let mut dstv = dst.borrow_mut();
             for i in 0..n.min(srcv.len()).min(dstv.len()) {
@@ -257,7 +257,7 @@ pub fn free_call(
 
         // ---- SYCL USM ------------------------------------------------------
         ("sycl::malloc_shared", _) | ("sycl::malloc_device", _) | ("sycl::malloc_host", _) => {
-            let n = int_arg(&args, 0, line)?;
+            let n = int_arg(args, 0, line)?;
             Ok(Value::Array(new_array(n as usize)))
         }
         ("sycl::free", _) => Ok(Value::Unit),
@@ -277,8 +277,8 @@ pub fn free_call(
 
         // ---- TBB ---------------------------------------------------------------
         ("tbb::parallel_for", _) => {
-            let lo = int_arg(&args, 0, line)?;
-            let hi = int_arg(&args, 1, line)?;
+            let lo = int_arg(args, 0, line)?;
+            let hi = int_arg(args, 1, line)?;
             let f = args[2].clone();
             for i in lo..hi {
                 call_unary(it, &f, Value::Int(i), line)?;
@@ -287,8 +287,8 @@ pub fn free_call(
         }
         ("tbb::parallel_reduce", _) => {
             // tbb::parallel_reduce(lo, hi, init, body(i, acc))
-            let lo = int_arg(&args, 0, line)?;
-            let hi = int_arg(&args, 1, line)?;
+            let lo = int_arg(args, 0, line)?;
+            let hi = int_arg(args, 1, line)?;
             let mut acc = args[2].clone();
             let f = args[3].clone();
             for i in lo..hi {
@@ -300,8 +300,8 @@ pub fn free_call(
         // ---- C++17 parallel algorithms (StdPar) -------------------------------
         ("std::for_each_n", _) => {
             // (policy, first_index, n, fn)
-            let start = int_arg(&args, 1, line)?;
-            let n = int_arg(&args, 2, line)?;
+            let start = int_arg(args, 1, line)?;
+            let n = int_arg(args, 2, line)?;
             let f = args[3].clone();
             for i in start..start + n {
                 call_unary(it, &f, Value::Int(i), line)?;
@@ -310,8 +310,8 @@ pub fn free_call(
         }
         ("std::for_each", _) => {
             // (policy, lo, hi, fn) over counting indices
-            let lo = int_arg(&args, 1, line)?;
-            let hi = int_arg(&args, 2, line)?;
+            let lo = int_arg(args, 1, line)?;
+            let hi = int_arg(args, 2, line)?;
             let f = args[3].clone();
             for i in lo..hi {
                 call_unary(it, &f, Value::Int(i), line)?;
@@ -320,8 +320,8 @@ pub fn free_call(
         }
         ("std::transform_reduce", _) => {
             // (policy, lo, hi, init, reduce, transform) over counting indices
-            let lo = int_arg(&args, 1, line)?;
-            let hi = int_arg(&args, 2, line)?;
+            let lo = int_arg(args, 1, line)?;
+            let hi = int_arg(args, 2, line)?;
             let mut acc = args[3].clone();
             let red = args[4].clone();
             let tr = args[5].clone();
@@ -354,7 +354,7 @@ pub fn member_call(
             let Value::Closure(c) = &args[0] else {
                 return Err(ExecError::new("submit needs a command group lambda", line));
             };
-            it.call_closure(c, vec![Value::Native(Native::Handler)], vec![None])
+            it.call_closure(c, &[Value::Native(Native::Handler)], &[])
         }
         (Value::Native(Native::Queue | Native::Handler), "parallel_for") => {
             let n = range_extent(&args[0], line)?;
@@ -371,7 +371,7 @@ pub fn member_call(
             let Value::Closure(c) = &args[0] else {
                 return Err(ExecError::new("single_task needs a lambda", line));
             };
-            it.call_closure(c, vec![], vec![])
+            it.call_closure(c, &[], &[])
         }
         (Value::Native(Native::Queue), "wait" | "wait_and_throw") => Ok(Value::Unit),
         (Value::Native(Native::Queue), "memcpy") => {

@@ -45,7 +45,7 @@ pub fn run_unit(unit: &Unit) -> ExecResult<RunResult> {
         .ok_or_else(|| ExecError::new("unit has no C/C++ program (Fortran?)", 0))?;
     let mut it = Interp::new(prog)?;
     let exit_code = it.run_main()?;
-    Ok(RunResult { exit_code, output: it.output.clone(), coverage: it.coverage.clone() })
+    Ok(RunResult { exit_code, output: it.output.clone(), coverage: it.coverage() })
 }
 
 #[cfg(test)]
@@ -221,6 +221,47 @@ mod tests {
         it.set_step_limit(10_000);
         let e = it.run_main().unwrap_err();
         assert!(e.message.contains("step limit"));
+    }
+
+    /// Run `src` on a thread with the default 2 MiB spawned-thread stack,
+    /// the smallest the interpreter runs on (pool and server workers).
+    fn run_on_small_stack(src: &'static str) -> ExecResult<RunResult> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut ss = SourceSet::new();
+                let m = ss.add("m.cpp", src);
+                let unit = compile_unit(&ss, m, &UnitOptions::default()).unwrap();
+                run_unit(&unit)
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn unbounded_recursion_is_a_typed_error() {
+        for src in [
+            "int f(int x) { return f(x + 1); }\nint main() { return f(0); }",
+            // Six nested operators per level: the deepest frames per call.
+            "int f(int x) { return 1 + (2 * (3 + (4 * (5 + (6 * f(x + 1)))))); }\nint main() { return f(0); }",
+            // Through a closure called by a model runtime.
+            "int f(int x) { int r = 0; tbb::parallel_for(0, 1, [&](int i) { r = f(x + 1); }); return r; }\nint main() { return f(0); }",
+            // A kernel that launches itself.
+            "__global__ void k(int d) { k<<<1, 1>>>(d + 1); }\nint main() { k<<<1, 1>>>(0); return 0; }",
+        ] {
+            let e = run_on_small_stack(src).unwrap_err();
+            assert!(e.message.contains("call depth exceeded"), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn recursion_within_the_depth_limit_runs() {
+        let r = run_on_small_stack(
+            "int depth(int n) { if (n == 0) { return 0; } return 1 + depth(n - 1); }\nint main() { return depth(120) - 120; }",
+        )
+        .unwrap();
+        assert_eq!(r.exit_code, 0);
     }
 
     #[test]

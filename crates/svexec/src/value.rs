@@ -10,6 +10,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A shared mutable slot (variable binding, array element store).
 pub type Slot = Rc<RefCell<Value>>;
@@ -40,7 +41,8 @@ pub enum Value {
 /// A lambda with its captured environment.
 pub struct Closure {
     pub params: Vec<(String, bool)>, // (name, by_reference)
-    pub body: svlang::ast::Block,
+    /// The lambda's body, shared with the AST it was evaluated from.
+    pub body: Arc<svlang::ast::Block>,
     pub env: Env,
     /// File the lambda's body lives in (for coverage).
     pub file: u32,
@@ -154,22 +156,40 @@ pub struct Env {
     scopes: Rc<EnvNode>,
 }
 
+/// One scope.  Block scopes hold a handful of names, so they live in a
+/// vector searched linearly rather than a hash map.  A name appears at most
+/// once per scope: re-declaring it replaces the binding, as a map insert
+/// would.
 struct EnvNode {
-    vars: RefCell<HashMap<String, Slot>>,
+    vars: RefCell<Vec<(String, Slot)>>,
     parent: Option<Rc<EnvNode>>,
+}
+
+impl EnvNode {
+    fn get(&self, name: &str) -> Option<Slot> {
+        self.vars.borrow().iter().find(|(n, _)| n == name).map(|(_, s)| s.clone())
+    }
+
+    fn insert(&self, name: &str, slot: Slot) {
+        let mut vars = self.vars.borrow_mut();
+        match vars.iter_mut().find(|(n, _)| n == name) {
+            Some(entry) => entry.1 = slot,
+            None => vars.push((name.to_string(), slot)),
+        }
+    }
 }
 
 impl Env {
     /// Fresh root environment.
     pub fn new() -> Env {
-        Env { scopes: Rc::new(EnvNode { vars: RefCell::new(HashMap::new()), parent: None }) }
+        Env { scopes: Rc::new(EnvNode { vars: RefCell::new(Vec::new()), parent: None }) }
     }
 
     /// A child environment whose lookups fall through to `self`.
     pub fn child(&self) -> Env {
         Env {
             scopes: Rc::new(EnvNode {
-                vars: RefCell::new(HashMap::new()),
+                vars: RefCell::new(Vec::new()),
                 parent: Some(self.scopes.clone()),
             }),
         }
@@ -178,21 +198,21 @@ impl Env {
     /// Declare (or shadow) a variable in the innermost scope.
     pub fn declare(&self, name: &str, v: Value) -> Slot {
         let slot = Rc::new(RefCell::new(v));
-        self.scopes.vars.borrow_mut().insert(name.to_string(), slot.clone());
+        self.scopes.insert(name, slot.clone());
         slot
     }
 
     /// Bind an existing slot (reference parameters, captured vars).
     pub fn bind(&self, name: &str, slot: Slot) {
-        self.scopes.vars.borrow_mut().insert(name.to_string(), slot);
+        self.scopes.insert(name, slot);
     }
 
     /// Find a variable's slot anywhere up the chain.
     pub fn lookup(&self, name: &str) -> Option<Slot> {
         let mut cur = Some(&self.scopes);
         while let Some(node) = cur {
-            if let Some(s) = node.vars.borrow().get(name) {
-                return Some(s.clone());
+            if let Some(s) = node.get(name) {
+                return Some(s);
             }
             cur = node.parent.as_ref();
         }

@@ -11,6 +11,7 @@
 //! record their end line so coverage masks can prune whole regions.
 
 use crate::source::FileId;
+use std::sync::Arc;
 
 /// A parsed translation unit (after preprocessing).
 #[derive(Debug, Clone, PartialEq)]
@@ -418,11 +419,12 @@ pub enum ExprKind {
         member: String,
         arrow: bool,
     },
-    /// `[capture](params) { body }`
+    /// `[capture](params) { body }`.  The body is shared so that an
+    /// interpreter's closures can hold it without copying the subtree.
     Lambda {
         capture: String,
         params: Vec<Param>,
-        body: Block,
+        body: Arc<Block>,
     },
     /// `(double)x` or `static_cast<double>(x)`.
     Cast {

@@ -11,6 +11,7 @@
 use crate::ast::*;
 use crate::lex::{TokKind, Token};
 use crate::source::{FileId, LangError, Result};
+use std::sync::Arc;
 
 /// Parse a preprocessed token stream into a [`Program`].
 pub fn parse(tokens: Vec<Token>, main_file: FileId, path: &str) -> Result<Program> {
@@ -991,7 +992,7 @@ impl Parser<'_> {
         while matches!(self.peek_ident(), Some("mutable") | Some("noexcept")) {
             self.pos += 1;
         }
-        let body = self.block()?;
+        let body = Arc::new(self.block()?);
         Ok(Expr::new(ExprKind::Lambda { capture, params, body }, line))
     }
 }

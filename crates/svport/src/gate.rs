@@ -100,7 +100,7 @@ pub fn run_limited(u: &Unit, step_limit: u64) -> Result<RunResult, ExecError> {
     let mut it = Interp::new(prog)?;
     it.set_step_limit(step_limit);
     let exit_code = it.run_main()?;
-    Ok(RunResult { exit_code, output: it.output.clone(), coverage: it.coverage.clone() })
+    Ok(RunResult { exit_code, output: it.output.clone(), coverage: it.coverage() })
 }
 
 /// Gate one candidate against the baseline checksum.
@@ -257,6 +257,23 @@ mod tests {
             &baseline,
         );
         assert_eq!(g.class, GateClass::RuntimeFail, "{}", g.detail);
+    }
+
+    #[test]
+    fn unbounded_recursion_is_runtime_fail() {
+        let baseline = baseline_run(App::BabelStream).unwrap();
+        let src = base_source(App::BabelStream, Model::OpenMp).replacen(
+            "int main() {",
+            "int spin(int x) { return spin(x + 1); }\nint main() {\n  spin(0);",
+            1,
+        );
+        let g = gate(
+            App::BabelStream,
+            &candidate_with(App::BabelStream, Model::OpenMp, src),
+            &baseline,
+        );
+        assert_eq!(g.class, GateClass::RuntimeFail, "{}", g.detail);
+        assert!(g.detail.contains("call depth exceeded"), "{}", g.detail);
     }
 
     #[test]

@@ -155,3 +155,23 @@ fn evaluate_rejects_bad_populations_and_unknown_apps() {
     assert!(names.contains(&"evaluate"), "methods advertises evaluate: {names:?}");
     handle.shutdown();
 }
+
+/// Offline `svport::evaluate` on a fixed population: the gate-class counts
+/// and the rendered leaderboard are pinned to values recorded before the
+/// interpreter stopped cloning AST, so a change in the interpreter's
+/// semantics or step accounting cannot silently reclassify candidates.
+#[test]
+fn offline_evaluate_gate_classes_are_pinned() {
+    let board = svport::evaluate(svcorpus::App::BabelStream, 48, 5).expect("evaluate");
+    let counts = board.class_counts().map(|(c, n)| (c.name(), n));
+    let text = board.render();
+    let digest = svtree::intern::fnv64(&text);
+    assert_eq!(
+        (counts, digest),
+        (
+            [("build-fail", 1), ("runtime-fail", 4), ("wrong-answer", 14), ("correct", 29)],
+            0xe08fd0d3a100b905
+        ),
+        "leaderboard drifted:\n{text}"
+    );
+}
