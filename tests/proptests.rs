@@ -520,3 +520,109 @@ proptest! {
         let _ = decompress(&bytes);
     }
 }
+
+// ---------------------------------------------------------------------------
+// decoder mutation tier: valid payloads, one corruption each
+// ---------------------------------------------------------------------------
+
+/// One corruption of a valid payload, chosen by `kind`: flip bits of one
+/// byte, truncate, or overwrite bytes with a varint of `bits` set bits
+/// (an inflated length, count, distance or line delta wherever it lands).
+fn corrupt(bytes: &[u8], kind: u8, at: u32, flip: u8, bits: u32) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    if b.is_empty() {
+        return b;
+    }
+    let at = at as usize % b.len();
+    match kind % 3 {
+        0 => b[at] ^= flip.max(1),
+        1 => b.truncate(at),
+        _ => {
+            let mut v = Vec::new();
+            svtree::pack::write_varint(&mut v, u64::MAX >> (64 - bits));
+            let end = (at + v.len()).min(b.len());
+            b.splice(at..end, v);
+        }
+    }
+    b
+}
+
+/// Declared length of an svz payload, when its header still parses.
+fn svz_declared(payload: &[u8]) -> Option<u64> {
+    let mut pos = 4;
+    (payload.len() >= 4).then_some(())?;
+    svtree::pack::read_varint(payload, &mut pos).ok()
+}
+
+/// A small valid Codebase DB: two entries compiled from real C++ (one with
+/// a coverage profile), packed once.
+fn small_db_bytes() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        use svlang::source::SourceSet;
+        use svlang::unit::{compile_unit, UnitOptions};
+        let mut db = silvervale::CodebaseDb::new("mut");
+        for (name, src) in [
+            ("a.cpp", "#define N 4\nint f(int x) { return x * N; }\nint main() { return f(1) - 4; }\n"),
+            ("b.cpp", "int main() {\n  int s = 0;\n  for (int i = 0; i < 3; i++) s += i;\n  return s - 3;\n}\n"),
+        ] {
+            let mut ss = SourceSet::new();
+            let m = ss.add(name, src);
+            let u = compile_unit(&ss, m, &UnitOptions::default()).expect("fixture compiles");
+            let mut cov = svtree::mask::CoverageMask::new();
+            cov.record(0, 1);
+            cov.record(0, 3);
+            let cov = (name == "a.cpp").then_some(cov);
+            db.push(name, svmetrics::Artifacts::from_unit(&u), cov);
+        }
+        let bytes = db.to_bytes();
+        assert!(silvervale::CodebaseDb::from_bytes(&bytes).unwrap() == db);
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn svz_mutations_are_typed_and_bounded(
+        pattern in proptest::collection::vec(any::<u8>(), 1..24),
+        reps in 1usize..200,
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+        kind in 0u8..3, at in any::<u32>(), flip in any::<u8>(), bits in 8u32..64,
+    ) {
+        let mut data: Vec<u8> = pattern.iter().copied().cycle().take(pattern.len() * reps).collect();
+        data.extend_from_slice(&tail);
+        let bad = corrupt(&compress(&data), kind, at, flip, bits);
+        if let Ok(out) = decompress(&bad) {
+            let declared = svz_declared(&bad).expect("a decoded payload has a header");
+            prop_assert!(out.len() as u64 <= declared, "{} > {}", out.len(), declared);
+        }
+    }
+
+    #[test]
+    fn tree_mutations_are_typed(t in arb_spanned_tree(),
+                                kind in 0u8..3, at in any::<u32>(), flip in any::<u8>(),
+                                bits in 8u32..64) {
+        let _ = read_tree(&corrupt(&write_tree(&t), kind, at, flip, bits));
+    }
+
+    #[test]
+    fn db_container_mutations_are_typed(kind in 0u8..3, at in any::<u32>(), flip in any::<u8>(),
+                                        bits in 8u32..64) {
+        let _ = silvervale::CodebaseDb::from_bytes(&corrupt(small_db_bytes(), kind, at, flip, bits));
+    }
+
+    /// Corrupt the uncompressed body and recompress it, so the corruption
+    /// reaches the record decoder instead of stopping at svz.
+    #[test]
+    fn db_body_mutations_are_typed(kind in 0u8..3, at in any::<u32>(), flip in any::<u8>(),
+                                   bits in 8u32..64) {
+        let bytes = small_db_bytes();
+        let body = decompress(&bytes[4..]).unwrap();
+        let mut bad = bytes[..4].to_vec();
+        bad.extend_from_slice(&compress(&corrupt(&body, kind, at, flip, bits)));
+        let _ = silvervale::CodebaseDb::from_bytes(&bad);
+    }
+}
