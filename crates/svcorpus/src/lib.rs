@@ -288,15 +288,25 @@ pub fn unit(app: App, model: Model) -> Result<Unit, svlang::source::LangError> {
     compile_unit(&ss, main, &UnitOptions::default())
 }
 
-/// Compile one Fortran BabelStream unit.
-pub fn fortran_unit(model: FortranModel) -> Result<Unit, svlang::source::LangError> {
+/// The source set of the Fortran BabelStream ports.
+pub fn fortran_source_set() -> SourceSet {
     let mut ss = SourceSet::new();
     for (path, text) in FORTRAN_SOURCES {
         ss.add(*path, *text);
     }
-    let main = ss
-        .lookup(&format!("babelstream/fortran/{}.f90", model.stem()))
-        .expect("fortran source registered");
+    ss
+}
+
+/// Main-file path of one Fortran BabelStream port inside
+/// [`fortran_source_set`].
+pub fn fortran_main_path(model: FortranModel) -> String {
+    format!("babelstream/fortran/{}.f90", model.stem())
+}
+
+/// Compile one Fortran BabelStream unit.
+pub fn fortran_unit(model: FortranModel) -> Result<Unit, svlang::source::LangError> {
+    let ss = fortran_source_set();
+    let main = ss.lookup(&fortran_main_path(model)).expect("fortran source registered");
     compile_unit(&ss, main, &UnitOptions::default())
 }
 

@@ -23,58 +23,82 @@
 //! lexes to the same token vocabulary.
 
 use crate::lex::{TokKind, Token};
+use std::collections::HashMap;
 use std::sync::Arc;
-use svtree::{Interner, Span, Tree, TreeBuilder};
+use svtree::{Interner, Span, Sym, Tree, TreeBuilder};
 
-/// Keywords that get their own labelled leaf in the highlight view.
+/// Keywords that get their own labelled leaf in the highlight view, in
+/// byte order so that [`keyword_index`] can bucket them by first byte.
 const KEYWORDS: &[&str] = &[
-    "if",
-    "else",
-    "for",
-    "while",
-    "do",
-    "return",
-    "break",
-    "continue",
-    "struct",
-    "class",
-    "using",
-    "namespace",
-    "const",
-    "static",
-    "inline",
-    "constexpr",
+    "__device__",
+    "__global__",
+    "__host__",
     "auto",
-    "void",
     "bool",
+    "break",
+    "case",
     "char",
+    "class",
+    "const",
+    "const_cast",
+    "constexpr",
+    "continue",
+    "default",
+    "delete",
+    "do",
+    "double",
+    "else",
+    "extern",
+    "false",
+    "float",
+    "for",
+    "if",
+    "inline",
     "int",
     "long",
-    "size_t",
-    "float",
-    "double",
-    "true",
-    "false",
-    "sizeof",
-    "static_cast",
-    "reinterpret_cast",
-    "const_cast",
-    "public",
-    "private",
-    "extern",
-    "__global__",
-    "__device__",
-    "__host__",
     "mutable",
+    "namespace",
     "new",
-    "delete",
-    "template",
-    "typename",
     "operator",
+    "private",
+    "public",
+    "reinterpret_cast",
+    "return",
+    "size_t",
+    "sizeof",
+    "static",
+    "static_cast",
+    "struct",
     "switch",
-    "case",
-    "default",
+    "template",
+    "true",
+    "typename",
+    "using",
+    "void",
+    "while",
 ];
+
+/// `KEYWORDS[lo..hi]` are the keywords starting with each ASCII byte.
+const KEYWORD_RANGES: [(u8, u8); 128] = {
+    let mut ranges = [(0u8, 0u8); 128];
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        let first = KEYWORDS[i].as_bytes()[0] as usize;
+        if ranges[first].1 == 0 {
+            ranges[first].0 = i as u8;
+        }
+        ranges[first].1 = i as u8 + 1;
+        i += 1;
+    }
+    ranges
+};
+
+/// Index of `id` in [`KEYWORDS`], scanning only its first byte's bucket.
+fn keyword_index(id: &str) -> Option<usize> {
+    let &first = id.as_bytes().first()?;
+    let (lo, hi) = *KEYWORD_RANGES.get(usize::from(first))?;
+    (usize::from(lo)..usize::from(hi)).find(|&k| KEYWORDS[k] == id)
+}
 
 /// Control tokens removed by `T_src` normalisation (brackets become group
 /// structure, so their leaves are also control tokens).
@@ -82,7 +106,7 @@ const CONTROL_PUNCTS: &[&str] = &[",", ";", "(", ")", "[", "]", "{", "}", "::", 
 
 fn classify(kind: &TokKind, next_is_open_paren: bool) -> String {
     match kind {
-        TokKind::Ident(id) if KEYWORDS.contains(&id.as_str()) => format!("Kw({id})"),
+        TokKind::Ident(id) if keyword_index(id).is_some() => format!("Kw({id})"),
         // The call-vs-cast ambiguity: any name followed by `(` is a Call.
         TokKind::Ident(_) if next_is_open_paren => "Call".into(),
         TokKind::Ident(_) => "Ident".into(),
@@ -95,15 +119,6 @@ fn classify(kind: &TokKind, next_is_open_paren: bool) -> String {
         TokKind::Comment(_) => "Comment".into(),
         TokKind::Newline => "Newline".into(),
         TokKind::Pragma(_) => "Pragma".into(),
-    }
-}
-
-fn group_label(open: &str) -> &'static str {
-    match open {
-        "(" => "Parens",
-        "[" => "Brackets",
-        "{" => "Braces",
-        _ => unreachable!(),
     }
 }
 
@@ -134,7 +149,7 @@ pub fn build_cst_in(table: Arc<Interner>, tokens: &[Token]) -> Tree {
         let span = Some(Span::line(t.loc.file.0, t.loc.line));
         match &t.kind {
             TokKind::Punct(p) if matches!(*p, "(" | "[" | "{") => {
-                b.open_span(group_label(p), span);
+                b.open_span(Fixed::group(p).label(), span);
                 b.leaf_span(format!("Op({p})"), span);
                 stack.push(closer(p));
             }
@@ -180,18 +195,182 @@ pub fn t_src(tokens: &[Token]) -> Tree {
 /// [`t_src`] with the label table shared with other trees of the unit (the
 /// interning [`TreeBuilder`] puts every tree of one compilation unit on a
 /// single string table).
+///
+/// Built in one pass over the tokens: it is the raw CST of
+/// [`build_cst_in`] with comments, newlines and control punctuation spliced
+/// out, but the dropped leaves are never pushed and labels come from a
+/// per-call [`Sym`] cache.  Every label the raw CST would intern — dropped
+/// ones included — is interned at its first occurrence, so `table` receives
+/// the same strings in the same order as `build_cst_in(..).filter_splice(..)`
+/// gives it, and the `Sym` ids of every later tree of the unit stay as they
+/// were.
 pub fn t_src_in(table: Arc<Interner>, tokens: &[Token]) -> Tree {
-    let cst = build_cst_in(table, tokens);
-    cst.filter_splice(|t, n| {
-        let l = t.label(n);
-        if l == "Comment" || l == "Newline" {
-            return false;
+    let mut labels = Labels::new(Arc::clone(&table));
+    let mut b = TreeBuilder::new_in(table, "Source");
+    let mut stack: Vec<&'static str> = Vec::new(); // expected closers
+    for (i, t) in tokens.iter().enumerate() {
+        let span = Some(Span::line(t.loc.file.0, t.loc.line));
+        match &t.kind {
+            TokKind::Punct(p) if matches!(*p, "(" | "[" | "{") => {
+                b.open_sym(labels.fixed(Fixed::group(p)), span);
+                labels.punct(p);
+                stack.push(closer(p));
+            }
+            TokKind::Punct(p) if matches!(*p, ")" | "]" | "}") => {
+                labels.punct(p);
+                if stack.last() == Some(p) {
+                    b.close();
+                    stack.pop();
+                }
+            }
+            TokKind::Pragma(inner) => {
+                b.open_sym(labels.fixed(Fixed::Pragma), span);
+                for it in inner {
+                    if let Some(sym) = labels.leaf(&it.kind, false) {
+                        b.leaf_sym(sym, span);
+                    }
+                }
+                b.close();
+            }
+            kind => {
+                let next_open = tokens.get(i + 1).is_some_and(|n| n.kind.is_punct("("));
+                if let Some(sym) = labels.leaf(kind, next_open) {
+                    b.leaf_sym(sym, span);
+                }
+            }
         }
-        if let Some(p) = l.strip_prefix("Op(").and_then(|s| s.strip_suffix(')')) {
-            return !CONTROL_PUNCTS.contains(&p);
+    }
+    while b.depth() > 1 {
+        b.close();
+    }
+    b.finish()
+}
+
+/// Labels with no payload, each cached in one slot of [`Labels`].
+#[derive(Clone, Copy)]
+enum Fixed {
+    Ident,
+    Call,
+    StrLit,
+    CharLit,
+    Comment,
+    Newline,
+    Pragma,
+    Parens,
+    Brackets,
+    Braces,
+}
+
+impl Fixed {
+    const COUNT: usize = 10;
+
+    fn label(self) -> &'static str {
+        match self {
+            Fixed::Ident => "Ident",
+            Fixed::Call => "Call",
+            Fixed::StrLit => "StrLit",
+            Fixed::CharLit => "CharLit",
+            Fixed::Comment => "Comment",
+            Fixed::Newline => "Newline",
+            Fixed::Pragma => "Pragma",
+            Fixed::Parens => "Parens",
+            Fixed::Brackets => "Brackets",
+            Fixed::Braces => "Braces",
         }
-        true
-    })
+    }
+
+    fn group(open: &str) -> Fixed {
+        match open {
+            "(" => Fixed::Parens,
+            "[" => Fixed::Brackets,
+            "{" => Fixed::Braces,
+            _ => unreachable!(),
+        }
+    }
+}
+
+/// Per-call cache of the `T_src` labels, interned on first use.
+struct Labels {
+    table: Arc<Interner>,
+    fixed: [Option<Sym>; Fixed::COUNT],
+    keywords: [Option<Sym>; KEYWORDS.len()],
+    /// One-byte punctuation by byte: the label and whether `T_src` keeps it.
+    punct1: [Option<(Sym, bool)>; 128],
+    /// Longer punctuation (`->`, `<<=`, …), few enough to scan.
+    punct_long: Vec<(&'static str, Sym, bool)>,
+    ints: HashMap<i64, Sym>,
+    reals: HashMap<u64, Sym>,
+}
+
+impl Labels {
+    fn new(table: Arc<Interner>) -> Self {
+        Labels {
+            table,
+            fixed: [None; Fixed::COUNT],
+            keywords: [None; KEYWORDS.len()],
+            punct1: [None; 128],
+            punct_long: Vec::new(),
+            ints: HashMap::new(),
+            reals: HashMap::new(),
+        }
+    }
+
+    fn fixed(&mut self, f: Fixed) -> Sym {
+        *self.fixed[f as usize].get_or_insert_with(|| self.table.intern(f.label()))
+    }
+
+    /// Symbol of `Op(p)`, or `None` when `p` is control punctuation.
+    fn punct(&mut self, p: &'static str) -> Option<Sym> {
+        let table = &self.table;
+        let make = || (table.intern(&format!("Op({p})")), !CONTROL_PUNCTS.contains(&p));
+        let (sym, keep) = match p.as_bytes() {
+            [c] if c.is_ascii() => *self.punct1[*c as usize].get_or_insert_with(make),
+            _ => match self.punct_long.iter().find(|(q, ..)| *q == p) {
+                Some(&(_, sym, keep)) => (sym, keep),
+                None => {
+                    let (sym, keep) = make();
+                    self.punct_long.push((p, sym, keep));
+                    (sym, keep)
+                }
+            },
+        };
+        keep.then_some(sym)
+    }
+
+    /// Symbol of the leaf [`classify`] labels `kind` with, or `None` when
+    /// `T_src` drops that leaf (the label is still interned).
+    fn leaf(&mut self, kind: &TokKind, next_is_open_paren: bool) -> Option<Sym> {
+        let table = &self.table;
+        Some(match kind {
+            TokKind::Ident(id) => match keyword_index(id) {
+                Some(k) => {
+                    *self.keywords[k].get_or_insert_with(|| table.intern(&format!("Kw({id})")))
+                }
+                None if next_is_open_paren => self.fixed(Fixed::Call),
+                None => self.fixed(Fixed::Ident),
+            },
+            TokKind::Int(v) => {
+                *self.ints.entry(*v).or_insert_with(|| table.intern(&format!("IntLit({v})")))
+            }
+            TokKind::Real(v) => *self
+                .reals
+                .entry(v.to_bits())
+                .or_insert_with(|| table.intern(&format!("RealLit({v})"))),
+            TokKind::Str(_) => self.fixed(Fixed::StrLit),
+            TokKind::Char(_) => self.fixed(Fixed::CharLit),
+            TokKind::Punct(p) => return self.punct(p),
+            TokKind::Hash => return self.punct("#"),
+            TokKind::Comment(_) => {
+                self.fixed(Fixed::Comment);
+                return None;
+            }
+            TokKind::Newline => {
+                self.fixed(Fixed::Newline);
+                return None;
+            }
+            TokKind::Pragma(_) => self.fixed(Fixed::Pragma),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +389,17 @@ mod tests {
         let mut ss = SourceSet::new();
         let m = ss.add("t.cpp", src);
         preprocess(&ss, m, &PpOptions::default()).unwrap().tokens
+    }
+
+    #[test]
+    fn keyword_buckets_find_every_keyword() {
+        assert!(KEYWORDS.windows(2).all(|w| w[0] < w[1]), "KEYWORDS must stay sorted");
+        for (k, kw) in KEYWORDS.iter().enumerate() {
+            assert_eq!(keyword_index(kw), Some(k), "{kw}");
+        }
+        for id in ["", "x", "iff", "i", "Int", "_", "\u{e9}t\u{e9}", "static_casts"] {
+            assert_eq!(keyword_index(id), None, "{id}");
+        }
     }
 
     #[test]

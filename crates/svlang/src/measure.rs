@@ -11,7 +11,7 @@
 //! and retained even after preprocessing and normalisation steps").
 
 use crate::lex::{lex, LexOptions, TokKind, Token};
-use crate::pp::render_token;
+use crate::pp::render_into;
 use crate::source::{FileId, Result};
 
 /// Normalised source lines of a token stream: comments dropped, whitespace
@@ -27,6 +27,9 @@ pub fn normalized_lines(tokens: &[Token]) -> Vec<String> {
 /// perceived metrics filter lines through the coverage mask using these.
 pub fn normalized_lines_with_locs(tokens: &[Token]) -> Vec<(String, (FileId, u32))> {
     let mut out: Vec<(String, (FileId, u32))> = Vec::new();
+    // Each line is rendered into one reused buffer and copied out once, at
+    // its exact length, when the next line starts.
+    let mut line = String::new();
     let mut key: Option<(FileId, u32)> = None;
     for t in tokens {
         if matches!(t.kind, TokKind::Comment(_) | TokKind::Newline) {
@@ -34,14 +37,18 @@ pub fn normalized_lines_with_locs(tokens: &[Token]) -> Vec<(String, (FileId, u32
         }
         let k = (t.loc.file, t.loc.line);
         if key != Some(k) {
-            key = Some(k);
-            out.push((String::new(), k));
+            if let Some(done) = key.replace(k) {
+                out.push((line.as_str().into(), done));
+                line.clear();
+            }
         }
-        let (line, _) = out.last_mut().unwrap();
         if !line.is_empty() {
             line.push(' ');
         }
-        line.push_str(&render_token(&t.kind));
+        render_into(&mut line, &t.kind);
+    }
+    if let Some(done) = key {
+        out.push((line.as_str().into(), done));
     }
     out
 }

@@ -977,7 +977,7 @@ impl Parser<'_> {
             if !capture.is_empty() {
                 capture.push(' ');
             }
-            capture.push_str(&crate::pp::render_token(&k));
+            crate::pp::render_into(&mut capture, &k);
         }
         self.expect_punct("]")?;
         let params = if self.is_punct("(") {

@@ -67,7 +67,7 @@ impl PpOutput {
             if !line.is_empty() {
                 line.push(' ');
             }
-            line.push_str(&render_token(&t.kind));
+            render_into(line, &t.kind);
         }
         out
     }
@@ -75,29 +75,43 @@ impl PpOutput {
 
 /// Render a token back to text (used for post-pp source reconstruction).
 pub fn render_token(kind: &TokKind) -> String {
+    let mut s = String::new();
+    render_into(&mut s, kind);
+    s
+}
+
+/// Append the text of a token to `out` — [`render_token`] without the
+/// per-token allocation.
+pub fn render_into(out: &mut String, kind: &TokKind) {
+    use std::fmt::Write;
+    // `write!` into a `String` cannot fail.
     match kind {
-        TokKind::Ident(s) => s.clone(),
-        TokKind::Int(v) => v.to_string(),
-        TokKind::Real(v) => {
-            if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                format!("{v:.1}")
-            } else {
-                format!("{v}")
-            }
+        TokKind::Ident(s) | TokKind::Comment(s) => out.push_str(s),
+        TokKind::Int(v) => {
+            let _ = write!(out, "{v}");
         }
-        TokKind::Str(s) => format!("{s:?}"),
-        TokKind::Char(c) => format!("'{c}'"),
-        TokKind::Punct(p) => (*p).to_string(),
-        TokKind::Hash => "#".to_string(),
-        TokKind::Comment(s) => s.clone(),
-        TokKind::Newline => String::new(),
+        TokKind::Real(v) => {
+            let _ = if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
+                write!(out, "{v:.1}")
+            } else {
+                write!(out, "{v}")
+            };
+        }
+        TokKind::Str(s) => {
+            let _ = write!(out, "{s:?}");
+        }
+        TokKind::Char(c) => {
+            let _ = write!(out, "'{c}'");
+        }
+        TokKind::Punct(p) => out.push_str(p),
+        TokKind::Hash => out.push('#'),
+        TokKind::Newline => {}
         TokKind::Pragma(toks) => {
-            let mut s = "#pragma".to_string();
+            out.push_str("#pragma");
             for t in toks {
-                s.push(' ');
-                s.push_str(&render_token(&t.kind));
+                out.push(' ');
+                render_into(out, &t.kind);
             }
-            s
         }
     }
 }
@@ -381,7 +395,7 @@ impl Pp<'_> {
                     if t.kind.is_punct(">") {
                         break;
                     }
-                    s.push_str(&render_token(&t.kind));
+                    render_into(&mut s, &t.kind);
                 }
                 (s, true)
             }

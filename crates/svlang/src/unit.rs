@@ -110,7 +110,7 @@ fn compile_cpp(sources: &SourceSet, main: FileId, path: &str, opts: &UnitOptions
     // paths apply within the unit's whole tree family.
     let table = Arc::new(Interner::new());
     let pp_opts = PpOptions { defines: opts.defines.clone() };
-    let out = {
+    let mut out = {
         let _s = svtrace::span!("unit.preprocess", unit = path);
         preprocess(sources, main, &pp_opts)?
     };
@@ -123,20 +123,10 @@ fn compile_cpp(sources: &SourceSet, main: FileId, path: &str, opts: &UnitOptions
         .collect();
 
     // --- pre-preprocessing (user) view: main + user deps, raw tokens ----
-    let mut pre_tokens: Vec<Token> = Vec::new();
-    {
+    let pre_tokens = {
         let _s = svtrace::span!("unit.lex", unit = path);
-        for &f in std::iter::once(&main).chain(dep_files.iter()) {
-            let sf = sources.file(f);
-            let toks = lex(
-                &sf.text,
-                f,
-                &sf.path,
-                LexOptions { keep_comments: true, keep_newlines: false },
-            )?;
-            pre_tokens.extend(fold_pragma_directives(toks));
-        }
-    }
+        user_view_tokens(sources, main, &dep_files)?
+    };
     let norm_span = svtrace::span!("unit.normalise", unit = path);
     let pre_pairs = measure::normalized_lines_with_locs(&pre_tokens);
     let line_locs_pre: Vec<(u32, u32)> = pre_pairs.iter().map(|(_, (f, l))| (f.0, *l)).collect();
@@ -157,7 +147,8 @@ fn compile_cpp(sources: &SourceSet, main: FileId, path: &str, opts: &UnitOptions
     // --- semantic trees ---------------------------------------------------
     let program = {
         let _s = svtrace::span!("unit.parse", unit = path);
-        crate::parse::parse(out.tokens.clone(), main, path)?
+        // Nothing reads the post-pp stream after this: the parser takes it.
+        crate::parse::parse(std::mem::take(&mut out.tokens), main, path)?
     };
     let lower_span = svtrace::span!("unit.lower", unit = path);
     let reg = Registry::build(&program, &out.system_files);
@@ -206,37 +197,46 @@ fn compile_cpp(sources: &SourceSet, main: FileId, path: &str, opts: &UnitOptions
     })
 }
 
+/// The pre-preprocessing (user) view of a unit: `main` then each of
+/// `dep_files`, lexed with comments kept and `#pragma` lines folded.
+pub fn user_view_tokens(
+    sources: &SourceSet,
+    main: FileId,
+    dep_files: &[FileId],
+) -> Result<Vec<Token>> {
+    let mut tokens = Vec::new();
+    for &f in std::iter::once(&main).chain(dep_files) {
+        let sf = sources.file(f);
+        let toks =
+            lex(&sf.text, f, &sf.path, LexOptions { keep_comments: true, keep_newlines: false })?;
+        fold_pragma_directives(toks, &mut tokens);
+    }
+    Ok(tokens)
+}
+
 /// In the raw (pre-pp) token stream, `#pragma …` lines are folded into the
 /// structured [`TokKind::Pragma`] token the post-pp stream uses, so `T_src`
 /// treats retained pragmas uniformly.  All other directives keep their raw
 /// tokens — the pre-pp view is "what the programmer sees", so `#include`
-/// and `#define` lines count as source.
-fn fold_pragma_directives(toks: Vec<Token>) -> Vec<Token> {
-    let mut out = Vec::with_capacity(toks.len());
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if matches!(t.kind, TokKind::Hash) {
-            let line = t.loc.line;
-            let file = t.loc.file;
-            let mut j = i + 1;
-            while j < toks.len() && toks[j].loc.line == line && toks[j].loc.file == file {
-                j += 1;
-            }
-            let name = toks.get(i + 1).and_then(|t| t.kind.ident());
-            if name == Some("pragma") {
-                let inner: Vec<Token> = toks[i + 2..j].to_vec();
-                out.push(Token::new(TokKind::Pragma(inner), t.loc));
-            } else {
-                out.extend_from_slice(&toks[i..j]);
-            }
-            i = j;
-        } else {
-            out.push(toks[i].clone());
-            i += 1;
+/// and `#define` lines count as source.  Appends to `out`.
+fn fold_pragma_directives(toks: Vec<Token>, out: &mut Vec<Token>) {
+    out.reserve(toks.len());
+    let mut it = toks.into_iter().peekable();
+    while let Some(t) = it.next() {
+        if !matches!(t.kind, TokKind::Hash) {
+            out.push(t);
+            continue;
+        }
+        let (file, line, start) = (t.loc.file, t.loc.line, out.len());
+        out.push(t);
+        out.extend(std::iter::from_fn(|| it.next_if(|n| n.loc.line == line && n.loc.file == file)));
+        if out.get(start + 1).and_then(|t| t.kind.ident()) == Some("pragma") {
+            let inner = out.split_off(start + 2);
+            let loc = out[start].loc;
+            out.truncate(start);
+            out.push(Token::new(TokKind::Pragma(inner), loc));
         }
     }
-    out
 }
 
 fn compile_fortran(sources: &SourceSet, main: FileId, path: &str) -> Result<Unit> {

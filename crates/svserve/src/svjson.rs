@@ -153,11 +153,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse a JSON document.
+/// Deepest array/object nesting [`parse`] accepts, as in the binary
+/// protocol.  The parser recurses once per level, so without a bound one
+/// 1 MiB frame of `[` would overflow the native stack and abort the process.
+pub const MAX_DEPTH: usize = 200;
+
+/// Parse a JSON document.  Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = P { b: text.as_bytes(), i: 0 };
     p.ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.ws();
     if p.i != p.b.len() {
         return Err(p.err("trailing content"));
@@ -211,8 +216,12 @@ impl P<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value whose enclosing arrays and objects number `depth`.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH}")))
+            }
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -226,7 +235,7 @@ impl P<'_> {
                 }
                 loop {
                     self.ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.ws();
                     if self.eat(b']') {
                         return Ok(Json::Array(items));
@@ -247,7 +256,7 @@ impl P<'_> {
                     self.ws();
                     self.expect(b':')?;
                     self.ws();
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     map.insert(key, v);
                     self.ws();
                     if self.eat(b'}') {
@@ -395,6 +404,20 @@ mod tests {
         let v = parse(src).unwrap();
         let out = v.to_string_compact();
         assert_eq!(parse(&out).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // A million unclosed `[` (one 1 MiB frame) is an error, not a stack
+        // overflow; so are objects.
+        assert!(parse(&"[".repeat(1_000_000)).unwrap_err().message.contains("nesting"));
+        let objs = "{\"a\":".repeat(1_000_000);
+        assert!(parse(&objs).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

@@ -769,9 +769,22 @@ impl TreeBuilder {
 
     /// Open a child node with a span and descend into it.
     pub fn open_span(&mut self, label: impl AsRef<str>, span: Option<Span>) -> NodeId {
-        let id = self.tree.push_child(self.current(), label, span);
+        let sym = self.tree.intern(label.as_ref());
+        self.open_sym(sym, span)
+    }
+
+    /// [`TreeBuilder::open_span`] with a label already interned in this
+    /// builder's table.
+    pub fn open_sym(&mut self, sym: Sym, span: Option<Span>) -> NodeId {
+        let id = self.tree.push_child_sym(self.current(), sym, span);
         self.stack.push(id);
         id
+    }
+
+    /// [`TreeBuilder::leaf_span`] with a label already interned in this
+    /// builder's table.
+    pub fn leaf_sym(&mut self, sym: Sym, span: Option<Span>) -> NodeId {
+        self.tree.push_child_sym(self.current(), sym, span)
     }
 
     /// Add a leaf child without descending.
@@ -781,7 +794,8 @@ impl TreeBuilder {
 
     /// Add a leaf child with a span without descending.
     pub fn leaf_span(&mut self, label: impl AsRef<str>, span: Option<Span>) -> NodeId {
-        self.tree.push_child(self.current(), label, span)
+        let sym = self.tree.intern(label.as_ref());
+        self.leaf_sym(sym, span)
     }
 
     /// Graft an existing tree as a child of the current node.

@@ -200,6 +200,40 @@ fn malformed_oversized_and_unknown_requests_get_structured_errors() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_an_error_and_the_server_keeps_serving() {
+    let (handle, _service) = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // A million `[` fit in one frame.  Parsing them recursively would
+    // overflow the server's stack and abort the whole process.
+    let depth = 1_000_000;
+    let mut frame = String::with_capacity(depth + 64);
+    frame.push_str("{\"id\":1,\"method\":\"ping\",\"params\":");
+    frame.push_str(&"[".repeat(depth));
+    frame.push_str("}\n");
+    assert!(frame.len() < svserve::MAX_FRAME);
+    client.send_raw(&frame).unwrap();
+    let (_, res) = client.recv().unwrap();
+    let err = res.unwrap_err();
+    assert_eq!(err.code, "parse_error");
+    assert!(err.message.contains("nesting"), "{}", err.message);
+
+    // Nesting within the bound still parses.
+    let ok_depth = svserve::svjson::MAX_DEPTH - 1;
+    let params = format!("{}{}", "[".repeat(ok_depth), "]".repeat(ok_depth));
+    client.send_raw(&format!("{{\"id\":2,\"method\":\"ping\",\"params\":{params}}}\n")).unwrap();
+    let (_, res) = client.recv().unwrap();
+    assert_eq!(res.unwrap(), Json::str("pong"));
+
+    // The same connection and a fresh one are both served.
+    assert_eq!(client.call("ping", Json::Null).unwrap(), Json::str("pong"));
+    let mut fresh = Client::connect(handle.addr()).unwrap();
+    assert_eq!(fresh.call("ping", Json::Null).unwrap(), Json::str("pong"));
+
+    handle.shutdown();
+}
+
+#[test]
 fn concurrent_identical_matrix_requests_compute_pairs_once() {
     let (handle, service) = start_server();
     let db = index_app(svcorpus::App::TeaLeaf, false).unwrap();
