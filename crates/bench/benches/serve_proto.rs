@@ -1,16 +1,17 @@
-//! Wire-protocol throughput: binary framing vs the JSON compat listener.
+//! Wire-protocol throughput: binary framing vs the JSON wire.
 //!
-//! One server, both listeners, one `tree` blob handler serving a
-//! synthetic svpack v2 tree out of the mmap'd artifact store.  Each
-//! cycle is a full client lifetime — connect, fetch the tree, close —
-//! measured raw on each wire (no retry/negotiation machinery), so the
-//! figure isolates what the framing itself costs: the JSON path hex-
-//! encodes the payload and re-parses it as a string; the binary path
+//! One server on one port, one `tree` blob handler serving a synthetic
+//! svpack v2 tree out of the mmap'd artifact store.  Each cycle is a
+//! full client lifetime — connect, fetch the tree, close — measured raw
+//! on each wire (no retry machinery), so the figure isolates what the
+//! framing itself costs: the JSON path hex-encodes the payload and
+//! re-parses it as a string; the binary path opens with the preface and
 //! carries the svpack bytes verbatim.
 //!
 //! Writes `BENCH_serve.json` and asserts at run time that the binary
-//! path sustains at least 2x the JSON path's connection rate — the gate
-//! CI re-checks against the committed figure.
+//! path sustains at least [`MIN_SPEEDUP`] times the JSON path's
+//! connection rate; CI runs the bench, so the gate is measured on the
+//! runner.
 
 use bench::save_figure;
 use silvervale::svjson::Json;
@@ -19,7 +20,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 use svdist::SharedTree;
-use svserve::binproto::{self, BinFrameReader, BinRead};
+use svserve::binproto::{self, BinFrameReader, BinRead, PREFACE};
 use svserve::proto::{parse_response, Request};
 use svserve::{serve_with, ArtifactStore, Router, ServeConfig};
 use svtree::Tree;
@@ -42,6 +43,12 @@ fn synthetic_tree() -> Tree {
     level(6, 5, 7)
 }
 
+/// The gate on bin/JSON conn/s.  Thirty recorded runs on a 2-core host
+/// (half before and half after the one-port server, EXPERIMENTS.md)
+/// measured 8.3x-18.7x; the bound keeps 2x margin under the lowest of
+/// them.
+const MIN_SPEEDUP: f64 = 4.0;
+
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
     sorted_us[idx]
@@ -60,11 +67,13 @@ fn json_cycle(addr: std::net::SocketAddr, expect: &[u8]) {
     assert_eq!(bytes, expect, "json wire returns the same svpack bytes");
 }
 
-/// One binary-wire cycle: connect, fetch the tree, take the blob verbatim.
+/// One binary-wire cycle: connect, send the preface and the request in
+/// one write, fetch the tree, take the blob verbatim.
 fn bin_cycle(addr: std::net::SocketAddr, expect: &[u8]) {
     let stream = TcpStream::connect(addr).expect("connect bin");
     let req = Request { id: 1, method: "tree".into(), params: Json::Null, trace: None };
-    (&stream).write_all(&binproto::encode_request(&req, &[])).expect("send");
+    let msg = [&PREFACE[..], &binproto::encode_request(&req, &[])].concat();
+    (&stream).write_all(&msg).expect("send");
     let mut reader = BinFrameReader::new(&stream);
     let BinRead::Frame(payload) = reader.read_frame().expect("recv") else {
         panic!("expected a response frame");
@@ -110,22 +119,20 @@ fn main() {
     let handle =
         serve_with("127.0.0.1:0", router, ServeConfig { workers: 2, ..ServeConfig::default() })
             .expect("bind bench server");
-    let json_addr = handle.addr();
-    let bin_addr = handle.bin_addr().expect("binary listener");
+    let addr = handle.addr();
 
     const WARMUP: usize = 20;
     const CYCLES: usize = 200;
     for _ in 0..WARMUP {
-        json_cycle(json_addr, &payload);
-        bin_cycle(bin_addr, &payload);
+        json_cycle(addr, &payload);
+        bin_cycle(addr, &payload);
     }
-    let (json_cps, json_p50, json_p99) = run(CYCLES, || json_cycle(json_addr, &payload));
-    let (bin_cps, bin_p50, bin_p99) = run(CYCLES, || bin_cycle(bin_addr, &payload));
+    let (json_cps, json_p50, json_p99) = run(CYCLES, || json_cycle(addr, &payload));
+    let (bin_cps, bin_p50, bin_p99) = run(CYCLES, || bin_cycle(addr, &payload));
     handle.shutdown();
 
     let speedup = bin_cps / json_cps;
-    // One field per line, like the other committed figures — CI's awk
-    // gate greps the conn_speedup line by name.
+    // One field per line, like the other committed figures.
     let json = format!(
         "{{\n  \"cycles\": {CYCLES},\n  \
          \"tree_nodes\": {nodes},\n  \
@@ -135,18 +142,18 @@ fn main() {
          \"bin_conn_per_sec\": {bin_cps:.2},\n  \
          \"bin_p50_us\": {bin_p50:.2},\n  \"bin_p99_us\": {bin_p99:.2},\n  \
          \"conn_speedup\": {speedup:.2},\n  \
-         \"note\": \"full connect-fetch-close cycles against one dual-listener \
-         server serving the same svpack payload from the artifact store; the JSON \
-         wire pays hex-fold plus re-parse, the binary wire carries the bytes \
-         verbatim\"\n}}\n",
+         \"note\": \"full connect-fetch-close cycles against one server, both wires \
+         on one port (a binary connection opens with the 4-byte preface), serving \
+         the same svpack payload from the artifact store; the JSON wire pays \
+         hex-fold plus re-parse, the binary wire carries the bytes verbatim\"\n}}\n",
         payload.len()
     );
     let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     std::fs::write(format!("{repo_root}/BENCH_serve.json"), &json).expect("write BENCH_serve");
     save_figure("BENCH_serve.json", &json);
     assert!(
-        speedup >= 2.0,
-        "binary wire must sustain >=2x the JSON connection rate \
+        speedup >= MIN_SPEEDUP,
+        "binary wire must sustain >={MIN_SPEEDUP}x the JSON connection rate \
          ({bin_cps:.0} vs {json_cps:.0} conn/s = {speedup:.2}x)"
     );
 }

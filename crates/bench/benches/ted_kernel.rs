@@ -1,8 +1,8 @@
 //! Zhang–Shasha kernel ablation (the §VII per-pair DP bottleneck),
 //! roofline-placed.
 //!
-//! `BENCH_matrix.json` showed cold divergence-matrix builds are
-//! DP-dominated (~47 ms/pair on the CloverLeaf Fig. 8 workload), so this
+//! Cold divergence-matrix builds are DP-dominated (a traced perfbench
+//! `figures` pass spends ~87% of its time in `svdist.ted`), so this
 //! bench isolates the kernel itself: the same 45 `T_sem` pairs are solved
 //! by every kernel —
 //!

@@ -38,9 +38,8 @@ USAGE:
   silvervale cascade   --app <name>
   silvervale evaluate  [<DB>] --app <name> [--candidates N] [--seed S] [--csv]
                        [--addr HOST:PORT]
-  silvervale serve     [--addr HOST:PORT] [--bin-addr HOST:PORT] [--no-bin] [--store FILE]
-                       [--threads N] [--cache-mb N] [--deadline-ms N]
-                       [--max-queue N] [--slow-ms N] [--trace-out FILE] [DB...]
+  silvervale serve     [--addr HOST:PORT] [--store FILE] [--threads N] [--cache-mb N]
+                       [--deadline-ms N] [--max-queue N] [--slow-ms N] [--trace-out FILE] [DB...]
   silvervale client    --addr HOST:PORT <method> [PARAMS-JSON] [--json] [--trace-out FILE]
   silvervale stats     --addr HOST:PORT [--follow] [--interval-ms N] [--json]
   silvervale top       --addr HOST:PORT [--interval-ms N] [--json]
@@ -61,12 +60,11 @@ USAGE:
   `client metrics --addr ...` dumps a live server's metric registries
   merged with the client's own retry/reconnect counters.
 
-  serve listens on two ports: the newline-framed JSON protocol on
-  --addr and a length-prefixed binary protocol (svpack bytes ride the
-  frames verbatim) on --bin-addr (default: same host, ephemeral port;
-  --no-bin disables it).  Clients negotiate transparently — they probe
-  `health` over JSON and upgrade to the binary port when the server
-  advertises one; --json pins a client command to the JSON wire.
+  serve listens on one port, --addr, for two wires: the newline-framed
+  JSON protocol and a length-prefixed binary protocol (svpack bytes
+  ride the frames verbatim).  A binary connection opens with a 4-byte
+  preface; every other connection is JSON.  Client commands use the
+  binary wire; --json pins a client command to the JSON wire.
   --store FILE persists the content-addressed artifact store (indexed
   trees as svpack v2, mmap'd and served zero-copy by the `tree`
   method) across restarts; the default store is an unlinked temp file.
@@ -114,7 +112,6 @@ impl Args {
                     "interval-ms",
                     "slow-ms",
                     "limit",
-                    "bin-addr",
                     "store",
                 ];
                 if value_flags.contains(&name) && i + 1 < argv.len() {
@@ -144,9 +141,8 @@ impl Args {
     }
 }
 
-/// Connect honouring `--json`: by default the client probes `health`
-/// over the JSON wire and upgrades to the binary listener when the
-/// server advertises one; `--json` pins the newline-framed protocol.
+/// Connect honouring `--json`: by default the client speaks the binary
+/// wire; `--json` pins the newline-framed protocol.
 fn client_for(args: &Args, addr: &str) -> std::io::Result<svserve::Client> {
     if args.flag("json") {
         svserve::Client::connect(addr)
@@ -473,8 +469,6 @@ fn run() -> Result<(), String> {
                 max_queue,
                 deadline,
                 slow_threshold,
-                bin_enabled: !args.flag("no-bin"),
-                bin_addr: args.value("bin-addr").map(str::to_string),
                 ..svserve::ServeConfig::default()
             };
             let handle = svserve::serve_with(addr, router, config)
@@ -483,9 +477,6 @@ fn run() -> Result<(), String> {
                 "serving on {} ({threads} workers); send a 'shutdown' request to stop",
                 handle.addr()
             );
-            if let Some(bin) = handle.bin_addr() {
-                println!("binary protocol on {bin} (clients negotiate via 'health')");
-            }
             // Block until a client requests shutdown, then report.
             let stats = handle.wait();
             trace.finish()?;

@@ -1218,9 +1218,9 @@ mod lanes {
             let s = v.scan(&sc);
             let mut out = [0u32; 16];
             L::storeu(out.as_mut_ptr(), s);
-            for k in 0..L::N {
+            for (k, &got) in out[..L::N].iter().enumerate() {
                 let expect = (0..=k).map(|j| T[j] + (k - j) as u32 * ins).min().unwrap();
-                assert_eq!(out[k], expect, "scan lane {k} of N={} ins={ins}", L::N);
+                assert_eq!(got, expect, "scan lane {k} of N={} ins={ins}", L::N);
             }
             let mut bb = [0u32; 16];
             L::storeu(bb.as_mut_ptr(), s.bcast_last());
@@ -1249,10 +1249,10 @@ mod lanes {
                 band_mask::<L>(L::loadu(rows.as_ptr()), L::splat(4), L::splat(2), L::splat(3));
             let mut mb = [0u32; 16];
             L::storeu(mb.as_mut_ptr(), L::splat(0).blend(L::splat(1), mask));
-            for k in 0..L::N {
+            for (k, &got) in mb[..L::N].iter().enumerate() {
                 let r = k as i64;
                 let expect = u32::from(r - 4 <= 2 && 4 - r <= 3);
-                assert_eq!(mb[k], expect, "band_mask lane {k}");
+                assert_eq!(got, expect, "band_mask lane {k}");
             }
         }
 

@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate, Candidate};
 
-    fn candidate_with(app: App, model: Model, source: String) -> Candidate {
+    fn candidate_with(model: Model, source: String) -> Candidate {
         Candidate { id: 0, model, label: "test".into(), source, edits: vec!["handmade".into()] }
     }
 
@@ -206,11 +206,7 @@ mod tests {
         let baseline = baseline_run(App::BabelStream).unwrap();
         assert!(baseline.sum.is_some());
         let src = base_source(App::BabelStream, Model::OpenMp);
-        let g = gate(
-            App::BabelStream,
-            &candidate_with(App::BabelStream, Model::OpenMp, src),
-            &baseline,
-        );
+        let g = gate(App::BabelStream, &candidate_with(Model::OpenMp, src), &baseline);
         assert_eq!(g.class, GateClass::Correct, "{}", g.detail);
         assert!(g.unit.is_some());
     }
@@ -221,11 +217,7 @@ mod tests {
         let mut src = base_source(App::BabelStream, Model::OpenMp);
         let cut = src.rfind('}').unwrap();
         src.replace_range(cut..cut + 1, "");
-        let g = gate(
-            App::BabelStream,
-            &candidate_with(App::BabelStream, Model::OpenMp, src),
-            &baseline,
-        );
+        let g = gate(App::BabelStream, &candidate_with(Model::OpenMp, src), &baseline);
         assert_eq!(g.class, GateClass::BuildFail, "{}", g.detail);
         assert!(g.unit.is_none());
     }
@@ -235,11 +227,7 @@ mod tests {
         let baseline = baseline_run(App::BabelStream).unwrap();
         let src =
             base_source(App::BabelStream, Model::OpenMp).replacen("a[i] + b[i]", "a[i] - b[i]", 1);
-        let g = gate(
-            App::BabelStream,
-            &candidate_with(App::BabelStream, Model::OpenMp, src),
-            &baseline,
-        );
+        let g = gate(App::BabelStream, &candidate_with(Model::OpenMp, src), &baseline);
         assert_eq!(g.class, GateClass::WrongAnswer, "{}", g.detail);
     }
 
@@ -251,11 +239,7 @@ mod tests {
             "for (int i = 0; i <= N; i++) {\n    c[i] = a[i];",
             1,
         );
-        let g = gate(
-            App::BabelStream,
-            &candidate_with(App::BabelStream, Model::OpenMp, src),
-            &baseline,
-        );
+        let g = gate(App::BabelStream, &candidate_with(Model::OpenMp, src), &baseline);
         assert_eq!(g.class, GateClass::RuntimeFail, "{}", g.detail);
     }
 
@@ -267,11 +251,7 @@ mod tests {
             "int spin(int x) { return spin(x + 1); }\nint main() {\n  spin(0);",
             1,
         );
-        let g = gate(
-            App::BabelStream,
-            &candidate_with(App::BabelStream, Model::OpenMp, src),
-            &baseline,
-        );
+        let g = gate(App::BabelStream, &candidate_with(Model::OpenMp, src), &baseline);
         assert_eq!(g.class, GateClass::RuntimeFail, "{}", g.detail);
         assert!(g.detail.contains("call depth exceeded"), "{}", g.detail);
     }

@@ -1,17 +1,22 @@
 //! Length-prefixed binary framing (`proto::bin`).
 //!
 //! The JSON protocol re-serialises trees that svpack v2 already stores
-//! columnar; this framing carries those bytes verbatim.  A frame is a
-//! `u32` little-endian payload length followed by the payload; payloads
-//! above [`MAX_FRAME`] are rejected with `frame_too_large` **before**
-//! buffering (the length prefix is read first), and — unlike the JSON
-//! listener's newline resync — an oversized or corrupt length prefix is
-//! unrecoverable, so the connection is closed after the error reply.
+//! columnar; this framing carries those bytes verbatim.  Both wires share
+//! one port: a binary connection opens with the 4-byte [`PREFACE`], and
+//! the server picks the wire per connection from its first bytes
+//! ([`sniff`]).  A frame is a `u32` little-endian payload length followed
+//! by the payload; payloads above [`MAX_FRAME`] are rejected with
+//! `frame_too_large` **before** buffering (the length prefix is read
+//! first), and — unlike the JSON wire's newline resync — an oversized or
+//! corrupt length prefix is unrecoverable, so the connection is closed
+//! after the error reply.
 //!
-//! Payload layout (all integers little-endian, varints as in
-//! `svtree::pack`):
+//! Connection and payload layout (all integers little-endian, varints as
+//! in `svtree::pack`):
 //!
 //! ```text
+//! connection := PREFACE frame*
+//! frame    := len:u32 payload            (len <= MAX_FRAME)
 //! request  := 0x00 id:u64 method:str trace params:json blobs
 //! response := 0x01 id:(0x00 | 0x01 u64) ok:u8
 //!             ok=1 → result:json blobs
@@ -28,14 +33,36 @@
 //! ```
 //!
 //! Blobs ride out-of-band after the JSON value so svpack bytes never
-//! pass through a string encoding; the JSON compat listener carries the
-//! same bytes hex-encoded under `svpack_hex` instead.
+//! pass through a string encoding; the JSON wire carries the same bytes
+//! hex-encoded under `svpack_hex` instead.
 
+use crate::client::Wire;
 use crate::proto::{Request, ServeError, MAX_FRAME};
 use crate::svjson::Json;
 use std::io::{self, Read};
 use svtrace::TraceCtx;
 use svtree::pack::{read_varint, write_varint};
+
+/// The bytes a binary connection opens with.  A bare sniff of the first
+/// frame would be ambiguous (the low byte of a length prefix can be `{`);
+/// a NUL first byte never starts a JSON request, so any other stream is
+/// the JSON wire.
+pub const PREFACE: [u8; 4] = *b"\0SVB";
+
+/// The wire a connection speaks, judged from the bytes it has sent so
+/// far: `Some(Bin)` once they start with the full [`PREFACE`],
+/// `Some(Json)` as soon as they stop matching it, `None` while they are
+/// a strict prefix of it (an empty `head` included).
+pub fn sniff(head: &[u8]) -> Option<Wire> {
+    let n = head.len().min(PREFACE.len());
+    if head[..n] != PREFACE[..n] {
+        Some(Wire::Json)
+    } else if n == PREFACE.len() {
+        Some(Wire::Bin)
+    } else {
+        None
+    }
+}
 
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
@@ -232,7 +259,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Vec<Vec<u8>>), ServeEr
 }
 
 /// Encode a success response (length prefix included).  `blob` carries
-/// svpack bytes verbatim — the binary listener's whole reason to exist.
+/// svpack bytes verbatim — the binary wire's whole reason to exist.
 pub fn encode_response_ok(id: u64, result: &Json, blob: Option<&[u8]>) -> Vec<u8> {
     let mut p = vec![KIND_RESPONSE, 1];
     p.extend_from_slice(&id.to_le_bytes());
@@ -405,7 +432,7 @@ impl<R: Read> BinFrameReader<R> {
 
 // ------------------------------------------------------------- hex bridge
 
-/// Hex-encode blob bytes for the JSON compat listener's `svpack_hex`.
+/// Hex-encode blob bytes for the JSON wire's `svpack_hex`.
 pub fn hex_encode(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -594,6 +621,8 @@ mod proptests {
     //! deterministic constructor (here a splitmix64 stream).
 
     use super::*;
+    use crate::proto::{FrameRead, LineAccum};
+    use crate::server::{Job, Parser, Step};
     use proptest::prelude::*;
 
     /// Deterministic value stream for building arbitrary requests.
@@ -756,7 +785,9 @@ mod proptests {
         ) {
             // Interleaved partial reads: concatenate several frames, then
             // feed the stream in arbitrary-sized chunks (cycling through
-            // `cuts`) the way the reactor's readiness loop would see them.
+            // `cuts`) the way the reactor's readiness loop would see them,
+            // once straight into the accumulator and once as a whole
+            // connection (preface first) through the server's sniff.
             let mut stream = Vec::new();
             let mut want = Vec::new();
             for k in 0..n_frames {
@@ -767,19 +798,87 @@ mod proptests {
             }
             let mut acc = FrameAccum::new();
             let mut got = Vec::new();
-            let mut pos = 0;
-            let mut ci = 0;
-            while pos < stream.len() {
-                let n = cuts[ci % cuts.len()].min(stream.len() - pos);
-                ci += 1;
-                acc.push(&stream[pos..pos + n]);
-                pos += n;
+            for chunk in chunked(&stream, &cuts) {
+                acc.push(chunk);
                 while let Some(p) = acc.next_frame().unwrap() {
                     got.push(p);
                 }
             }
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&got, &want);
             prop_assert_eq!(acc.buffered(), 0);
+
+            let conn = [&PREFACE[..], &stream].concat();
+            let mut parser = Parser::new();
+            let mut got = Vec::new();
+            for chunk in chunked(&conn, &cuts) {
+                parser.push(chunk);
+                loop {
+                    match parser.step() {
+                        Step::Dispatch(Job::Bin(p)) => got.push(p),
+                        Step::Idle => break,
+                        _ => prop_assert!(false, "a binary stream left the binary wire"),
+                    }
+                }
+            }
+            prop_assert_eq!(got, want);
         }
+
+        #[test]
+        fn sniff_replays_any_non_preface_stream_into_the_line_framer(
+            seed in any::<u64>(),
+            keep in 0usize..4,
+            cuts in proptest::collection::vec(1usize..32, 1..16),
+        ) {
+            // A connection that opens with `keep` preface bytes and then
+            // goes astray (or with random bytes, lines and `\r`s from the
+            // start) must yield exactly the lines the JSON framer yields
+            // on the same bytes fed in one piece.
+            let g = &mut Gen(seed);
+            let mut conn = PREFACE[..keep].to_vec();
+            for _ in 0..g.below(64) {
+                conn.push(match g.below(8) {
+                    0 => b'\n',
+                    1 => b'\r',
+                    2 => b' ',
+                    _ => g.next() as u8,
+                });
+            }
+            if conn.starts_with(&PREFACE) {
+                return; // the random bytes spelled the preface out
+            }
+            let mut oracle = LineAccum::new();
+            oracle.push(&conn);
+            let mut want = Vec::new();
+            while let Some(frame) = oracle.next_frame() {
+                match frame {
+                    FrameRead::Line(l) if l.trim().is_empty() => {}
+                    FrameRead::Line(l) => want.push(l),
+                    other => prop_assert!(false, "short lines only: {:?}", other),
+                }
+            }
+            let mut parser = Parser::new();
+            let mut got = Vec::new();
+            for chunk in chunked(&conn, &cuts) {
+                parser.push(chunk);
+                loop {
+                    match parser.step() {
+                        Step::Dispatch(Job::Json(l)) => got.push(l),
+                        Step::Idle => break,
+                        _ => prop_assert!(false, "a JSON stream left the JSON wire"),
+                    }
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// `bytes` in consecutive chunks whose sizes cycle through `cuts`.
+    fn chunked<'a>(bytes: &'a [u8], cuts: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+        let mut pos = 0;
+        cuts.iter().cycle().map_while(move |&n| {
+            let chunk = &bytes[pos..(pos + n).min(bytes.len())];
+            pos += chunk.len();
+            (!chunk.is_empty()).then_some(chunk)
+        })
     }
 }

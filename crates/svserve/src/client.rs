@@ -78,25 +78,42 @@ pub enum Wire {
 /// The client's transport: same request/response semantics, different
 /// framing.
 enum Transport {
-    Json { writer: TcpStream, reader: FrameReader<TcpStream> },
-    Bin { writer: TcpStream, reader: BinFrameReader<TcpStream> },
+    Json {
+        writer: TcpStream,
+        reader: FrameReader<TcpStream>,
+    },
+    Bin {
+        writer: TcpStream,
+        reader: BinFrameReader<TcpStream>,
+        /// The preface is still to be sent; it rides with the first
+        /// request in one write.
+        preface: bool,
+    },
+}
+
+impl Transport {
+    fn new(stream: TcpStream, wire: Wire) -> io::Result<Transport> {
+        let writer = stream.try_clone()?;
+        Ok(match wire {
+            Wire::Json => Transport::Json { writer, reader: FrameReader::new(stream) },
+            Wire::Bin => {
+                Transport::Bin { writer, reader: BinFrameReader::new(stream), preface: true }
+            }
+        })
+    }
 }
 
 /// A connected client.
 pub struct Client {
     transport: Transport,
-    addr: Option<SocketAddr>,
-    /// The negotiated binary listener's address (reconnect target while
-    /// on the binary wire).
-    bin_addr: Option<SocketAddr>,
+    /// The server's address (the reconnect target on either wire).
+    addr: SocketAddr,
     next_id: u64,
-    /// Client-side metrics (`client.retries`, `client.reconnects`,
-    /// `client.proto_fallbacks`): failures the retry/negotiation layers
-    /// paper over must still be observable.
+    /// Client-side metrics (`client.retries`, `client.reconnects`):
+    /// failures the retry layer papers over must still be observable.
     registry: Registry,
     retries: Arc<Counter>,
     reconnects: Arc<Counter>,
-    proto_fallbacks: Arc<Counter>,
     /// When on, every call carries a fresh trace context on the wire.
     tracing: bool,
     last_trace: Option<TraceCtx>,
@@ -105,36 +122,35 @@ pub struct Client {
 impl Client {
     /// Connect to a running server on the JSON wire.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        Client::dial(addr, Wire::Json)
+    }
+
+    /// Connect on the binary wire.  The server serves both wires on one
+    /// port and tells them apart by the [`binproto::PREFACE`] a binary
+    /// connection opens with, so there is nothing to negotiate: the
+    /// client dials `addr` and sends the preface with its first request.
+    /// A server that predates the preface never answers such a client;
+    /// use [`Client::connect`] against one.
+    pub fn connect_negotiated(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        Client::dial(addr, Wire::Bin)
+    }
+
+    fn dial(addr: impl ToSocketAddrs, wire: Wire) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        let peer = stream.peer_addr().ok();
-        let writer = stream.try_clone()?;
+        let addr = stream.peer_addr()?;
         let registry = Registry::new();
         let retries = registry.counter("client.retries");
         let reconnects = registry.counter("client.reconnects");
-        let proto_fallbacks = registry.counter("client.proto_fallbacks");
         Ok(Client {
-            transport: Transport::Json { writer, reader: FrameReader::new(stream) },
-            addr: peer,
-            bin_addr: None,
+            transport: Transport::new(stream, wire)?,
+            addr,
             next_id: 1,
             registry,
             retries,
             reconnects,
-            proto_fallbacks,
             tracing: false,
             last_trace: None,
         })
-    }
-
-    /// Connect with transparent protocol negotiation: ask `health` over
-    /// JSON, and if the server advertises a binary listener, switch to
-    /// it.  Any failure along the way falls back to the JSON wire the
-    /// client already holds — observable as `client.proto_fallbacks`,
-    /// never as an error.
-    pub fn connect_negotiated(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let mut c = Client::connect(addr)?;
-        c.upgrade();
-        Ok(c)
     }
 
     /// The wire protocol currently in use.
@@ -142,36 +158,6 @@ impl Client {
         match self.transport {
             Transport::Json { .. } => Wire::Json,
             Transport::Bin { .. } => Wire::Bin,
-        }
-    }
-
-    /// Times negotiation wanted the binary wire but had to stay on JSON.
-    pub fn proto_fallbacks(&self) -> u64 {
-        self.proto_fallbacks.get()
-    }
-
-    /// Best-effort upgrade to the binary listener `health` advertises.
-    fn upgrade(&mut self) {
-        let Ok(health) = self.call("health", Json::Null) else {
-            self.proto_fallbacks.inc();
-            return;
-        };
-        let (Some(port), Some(addr)) = (health.get("bin_port").and_then(Json::as_u64), self.addr)
-        else {
-            self.proto_fallbacks.inc();
-            return;
-        };
-        let bin = SocketAddr::new(addr.ip(), port as u16);
-        let upgraded = TcpStream::connect(bin).and_then(|stream| {
-            let writer = stream.try_clone()?;
-            Ok(Transport::Bin { writer, reader: BinFrameReader::new(stream) })
-        });
-        match upgraded {
-            Ok(t) => {
-                self.transport = t;
-                self.bin_addr = Some(bin);
-            }
-            Err(_) => self.proto_fallbacks.inc(),
         }
     }
 
@@ -243,9 +229,15 @@ impl Client {
                 frame.push('\n');
                 writer.write_all(frame.as_bytes()).map_err(io_err)?;
             }
-            Transport::Bin { writer, .. } => {
+            Transport::Bin { writer, preface, .. } => {
                 let req = Request { id, method: method.to_string(), params, trace: wire_trace };
-                writer.write_all(&binproto::encode_request(&req, &[])).map_err(io_err)?;
+                let frame = binproto::encode_request(&req, &[]);
+                let frame = if std::mem::take(preface) {
+                    [&binproto::PREFACE[..], &frame].concat()
+                } else {
+                    frame
+                };
+                writer.write_all(&frame).map_err(io_err)?;
             }
         }
         let (rid, result) = self.recv_full()?;
@@ -324,22 +316,10 @@ impl Client {
         Ok(v)
     }
 
-    /// Re-establish the connection after a transport failure, staying on
-    /// the wire the client negotiated.
+    /// Re-establish the connection after a transport failure, on the
+    /// same address and wire.
     fn reconnect(&mut self) -> io::Result<()> {
-        let unknown = || io::Error::new(io::ErrorKind::NotConnected, "peer address unknown");
-        self.transport = match &self.transport {
-            Transport::Json { .. } => {
-                let stream = TcpStream::connect(self.addr.ok_or_else(unknown)?)?;
-                let writer = stream.try_clone()?;
-                Transport::Json { writer, reader: FrameReader::new(stream) }
-            }
-            Transport::Bin { .. } => {
-                let stream = TcpStream::connect(self.bin_addr.ok_or_else(unknown)?)?;
-                let writer = stream.try_clone()?;
-                Transport::Bin { writer, reader: BinFrameReader::new(stream) }
-            }
-        };
+        self.transport = Transport::new(TcpStream::connect(self.addr)?, self.wire())?;
         self.reconnects.inc();
         Ok(())
     }

@@ -250,21 +250,82 @@ pub enum FrameRead {
     Eof,
 }
 
-/// Incremental frame reader over any `Read`.
+/// Incremental line framer — the JSON twin of
+/// [`crate::binproto::FrameAccum`].  Feed arbitrary byte chunks with
+/// [`push`](LineAccum::push); [`next_frame`](LineAccum::next_frame)
+/// yields complete lines (newline and a trailing `\r` stripped, UTF-8
+/// decoded lossily).  A line over [`MAX_FRAME`] is reported once as
+/// [`FrameRead::TooLarge`] when its newline arrives; its bytes are
+/// discarded as they come, and the stream resyncs on the newline.  A
+/// caller that asks for the next frame after every chunk it pushes (as
+/// [`FrameReader`] and the reactor do) holds at most `MAX_FRAME` plus
+/// one chunk of an unfinished line.
+#[derive(Default)]
+pub struct LineAccum {
+    buf: Vec<u8>,
+    /// Prefix of `buf` already searched for a newline.
+    scanned: usize,
+    /// Currently discarding an oversized line up to its newline.
+    skipping: bool,
+}
+
+impl LineAccum {
+    pub fn new() -> LineAccum {
+        LineAccum::default()
+    }
+
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes currently buffered.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next complete frame: `Some(Line)` or `Some(TooLarge)`, `None`
+    /// until a newline is buffered.
+    pub fn next_frame(&mut self) -> Option<FrameRead> {
+        let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            if self.skipping || self.buf.len() > MAX_FRAME {
+                self.skipping = true;
+                self.buf.clear();
+                self.scanned = 0;
+            } else {
+                self.scanned = self.buf.len();
+            }
+            return None;
+        };
+        let nl = self.scanned + nl;
+        let mut line = &self.buf[..nl];
+        let frame = if self.skipping || line.len() > MAX_FRAME {
+            FrameRead::TooLarge
+        } else {
+            if line.last() == Some(&b'\r') {
+                line = &line[..nl - 1];
+            }
+            FrameRead::Line(String::from_utf8_lossy(line).into_owned())
+        };
+        self.buf.drain(..=nl);
+        self.scanned = 0;
+        self.skipping = false;
+        Some(frame)
+    }
+}
+
+/// Blocking frame reader over any `Read`: a [`LineAccum`] fed by reads.
 ///
 /// Unlike `BufRead::read_line` this survives read timeouts (partial
-/// frames stay buffered across calls, so the server can poll its shutdown
+/// frames stay buffered across calls, so a caller can poll a shutdown
 /// flag between reads) and enforces [`MAX_FRAME`] with resynchronisation.
 pub struct FrameReader<R: Read> {
     inner: R,
-    pending: Vec<u8>,
-    /// Currently discarding an oversized frame up to its newline.
-    skipping: bool,
+    accum: LineAccum,
 }
 
 impl<R: Read> FrameReader<R> {
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader { inner, pending: Vec::new(), skipping: false }
+        FrameReader { inner, accum: LineAccum::new() }
     }
 
     pub fn get_ref(&self) -> &R {
@@ -276,34 +337,12 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self) -> io::Result<FrameRead> {
         let mut chunk = [0u8; 8192];
         loop {
-            // Drain what we already hold.
-            if self.skipping {
-                match self.pending.iter().position(|&b| b == b'\n') {
-                    Some(nl) => {
-                        self.pending.drain(..=nl);
-                        self.skipping = false;
-                        return Ok(FrameRead::TooLarge);
-                    }
-                    None => self.pending.clear(),
-                }
-            } else if let Some(nl) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=nl).collect();
-                line.pop(); // the newline
-                if line.len() > MAX_FRAME {
-                    return Ok(FrameRead::TooLarge);
-                }
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(FrameRead::Line(String::from_utf8_lossy(&line).into_owned()));
-            } else if self.pending.len() > MAX_FRAME {
-                self.skipping = true;
-                continue;
+            if let Some(frame) = self.accum.next_frame() {
+                return Ok(frame);
             }
-            // Need more bytes.
             match self.inner.read(&mut chunk) {
                 Ok(0) => return Ok(FrameRead::Eof),
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.accum.push(&chunk[..n]),
                 Err(e)
                     if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
                 {
@@ -341,6 +380,28 @@ mod tests {
         let mut r = reader(&big);
         assert_eq!(r.read_frame().unwrap(), FrameRead::TooLarge);
         assert_eq!(r.read_frame().unwrap(), FrameRead::Line("after".into()));
+    }
+
+    #[test]
+    fn oversized_line_without_newline_is_discarded_as_it_comes() {
+        let mut acc = LineAccum::new();
+        // Pushed in chunks, asking for a frame after each one: the
+        // unfinished line never outgrows `MAX_FRAME` plus one chunk.
+        for chunk in vec![b'z'; MAX_FRAME + 2].chunks(64 * 1024) {
+            acc.push(chunk);
+            assert_eq!(acc.next_frame(), None);
+            assert!(acc.buffered() <= MAX_FRAME + 64 * 1024);
+        }
+        assert_eq!(acc.buffered(), 0, "the oversized line's bytes are dropped");
+        // Later bytes of the same line are dropped too; its newline
+        // reports it once and the stream resyncs.
+        acc.push(b"zzz");
+        assert_eq!(acc.next_frame(), None);
+        assert_eq!(acc.buffered(), 0);
+        acc.push(b"z\nok\n");
+        assert_eq!(acc.next_frame(), Some(FrameRead::TooLarge));
+        assert_eq!(acc.next_frame(), Some(FrameRead::Line("ok".into())));
+        assert_eq!(acc.buffered(), 0);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Epoll reactor: readiness-driven connection handling for both wire
-//! protocols on one thread.
+//! protocols, on one listener and one thread.
 //!
 //! The accept loop, socket reads, frame parsing, and socket writes all
 //! happen here, nonblocking, driven by `epoll` readiness (see
-//! [`crate::sys`]).  Request *execution* does not: each complete frame
+//! [`crate::sys`]).  Each connection's bytes go through the shared
+//! [`Parser`], which picks the wire from the connection's first bytes.
+//! Request *execution* does not happen here: each complete frame
 //! becomes a job on the [`Executor`] — a small dynamic blocking pool —
-//! whose handler path is the same `process_request` the threaded
-//! fallback uses, so deadlines, shedding, drain, tracing, and fault
-//! injection carry over unchanged (routed methods still run on the
-//! [`crate::sched::JobPool`] beneath it; the executor thread plays the
-//! old connection thread's part, which is what lets fan-out handlers
-//! keep blocking on their sub-jobs).
+//! whose handler path is `process_request`, so deadlines, shedding,
+//! drain, tracing, and fault injection apply to both wires alike
+//! (routed methods still run on the [`crate::sched::JobPool`] beneath
+//! it; the executor thread plays the old connection thread's part, which
+//! is what lets fan-out handlers keep blocking on their sub-jobs).
 //!
 //! Per-connection state machine: while a request is in flight the
 //! connection's `EPOLLIN` interest is dropped, so a client gets exactly
@@ -22,18 +23,15 @@
 //!
 //! Oversized frames diverge by protocol, deliberately: a JSON line can
 //! resync on the next newline (error reply, connection survives —
-//! `FrameReader` semantics), but a corrupt binary length prefix leaves
+//! `LineAccum` semantics), but a corrupt binary length prefix leaves
 //! no boundary to find, so the reply is followed by a close.
 //!
-//! If reactor setup fails (exotic container without epoll, say), the
-//! listeners are handed back and `server.rs` falls back to the
-//! thread-per-connection loop; `SVSERVE_NO_REACTOR=1` forces that path.
+//! The reactor is the only connection loop on Linux; a failure to set it
+//! up is an error from `serve_with`.
 
 #![cfg(target_os = "linux")]
 
-use crate::binproto::{self, FrameAccum};
-use crate::proto::{response_err, ServeError, MAX_FRAME};
-use crate::server::{handle_frame_bin, handle_frame_json, Listener, ServerState};
+use crate::server::{Job, Parser, ServerState, Step};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -137,44 +135,16 @@ fn exec_worker(exec: Arc<Executor>) {
 
 // -------------------------------------------------------------- reactor
 
-/// Epoll data tags: fixed ids for the waker and listeners, then one slot
-/// per connection.
+/// Epoll data tags: fixed ids for the waker and the listener, then one
+/// slot per connection.
 const TAG_WAKER: u64 = 0;
-const TAG_JSON: u64 = 1;
-const TAG_BIN: u64 = 2;
-const FIRST_CONN: u64 = 3;
+const TAG_LISTENER: u64 = 1;
+const FIRST_CONN: u64 = 2;
 
 /// `epoll_wait` timeout — the shutdown-flag poll cadence, matching the
-/// threaded path's `POLL_INTERVAL`.
+/// threaded loop's `POLL_INTERVAL`.
 const WAIT_MS: i32 = 100;
 const READ_CHUNK: usize = 16 * 1024;
-
-/// Per-connection incremental parser.
-enum Parser {
-    Json { buf: Vec<u8>, skipping: bool },
-    Bin(FrameAccum),
-}
-
-/// A complete inbound frame, ready for the executor.
-enum Job {
-    Json(String),
-    Bin(Vec<u8>),
-}
-
-/// One parse attempt's outcome (plain data so the borrow of the
-/// connection ends before the reactor acts on it).
-enum Step {
-    /// No complete frame buffered.
-    Idle,
-    Dispatch(Job),
-    /// An empty JSON line — skipped without dispatch, like the threaded
-    /// loop.
-    Skip,
-    /// Oversized JSON line: error reply, resync, connection survives.
-    JsonTooLarge,
-    /// Oversized/corrupt binary length prefix: error reply, then close.
-    BinFatal,
-}
 
 struct Conn {
     stream: TcpStream,
@@ -203,11 +173,10 @@ struct Completion {
     reply: Vec<u8>,
 }
 
-struct Reactor {
+pub(crate) struct Reactor {
     epoll: Epoll,
     evfd: Arc<EventFd>,
-    json: Option<TcpListener>,
-    bin: Option<TcpListener>,
+    listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     gen: u64,
@@ -219,52 +188,15 @@ struct Reactor {
     n_inflight: Arc<AtomicUsize>,
 }
 
-/// Run the reactor until shutdown completes its drain.  On setup failure
-/// the listeners are returned (restored to blocking) so the caller can
-/// fall back to the threaded accept loop.
-pub(crate) fn run(
-    json: TcpListener,
-    bin: Option<TcpListener>,
-    state: Arc<ServerState>,
-) -> Result<(), (TcpListener, Option<TcpListener>)> {
-    let mut r = Reactor::new(json, bin, state)?;
-    r.event_loop();
-    Ok(())
-}
-
 impl Reactor {
-    fn new(
-        json: TcpListener,
-        bin: Option<TcpListener>,
-        state: Arc<ServerState>,
-    ) -> Result<Reactor, (TcpListener, Option<TcpListener>)> {
-        fn fail(
-            json: TcpListener,
-            bin: Option<TcpListener>,
-        ) -> Result<Reactor, (TcpListener, Option<TcpListener>)> {
-            let _ = json.set_nonblocking(false);
-            if let Some(b) = &bin {
-                let _ = b.set_nonblocking(false);
-            }
-            Err((json, bin))
-        }
-        let (epoll, evfd) = match (Epoll::new(), EventFd::new()) {
-            (Ok(e), Ok(f)) => (e, Arc::new(f)),
-            _ => return fail(json, bin),
-        };
-        if json.set_nonblocking(true).is_err()
-            || epoll.add(evfd.fd(), EPOLLIN, TAG_WAKER).is_err()
-            || epoll.add(json.as_raw_fd(), EPOLLIN, TAG_JSON).is_err()
-        {
-            return fail(json, bin);
-        }
-        if let Some(b) = &bin {
-            if b.set_nonblocking(true).is_err()
-                || epoll.add(b.as_raw_fd(), EPOLLIN, TAG_BIN).is_err()
-            {
-                return fail(json, bin);
-            }
-        }
+    /// Register `listener` and the shutdown eventfd with a new epoll
+    /// instance, and install the eventfd as the server's waker.
+    pub(crate) fn new(listener: TcpListener, state: Arc<ServerState>) -> io::Result<Reactor> {
+        let epoll = Epoll::new()?;
+        let evfd = Arc::new(EventFd::new()?);
+        listener.set_nonblocking(true)?;
+        epoll.add(evfd.fd(), EPOLLIN, TAG_WAKER)?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TAG_LISTENER)?;
         // Shutdown wake-ups go through the eventfd instead of a
         // throwaway TCP connect.
         let wake = Arc::clone(&evfd);
@@ -272,8 +204,7 @@ impl Reactor {
         Ok(Reactor {
             epoll,
             evfd,
-            json: Some(json),
-            bin,
+            listener: Some(listener),
             conns: Vec::new(),
             free: Vec::new(),
             gen: 0,
@@ -284,7 +215,8 @@ impl Reactor {
         })
     }
 
-    fn event_loop(&mut self) {
+    /// Run until shutdown completes its drain.
+    pub(crate) fn run(mut self) {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
         loop {
             let n = self.epoll.wait(&mut events, WAIT_MS).unwrap_or(0);
@@ -293,8 +225,7 @@ impl Reactor {
                 let (data, mask) = ({ ev.data }, { ev.events });
                 match data {
                     TAG_WAKER => self.evfd.drain(),
-                    TAG_JSON => self.accept(Listener::Json),
-                    TAG_BIN => self.accept(Listener::Bin),
+                    TAG_LISTENER => self.accept(),
                     tag => self.conn_event((tag - FIRST_CONN) as usize, mask),
                 }
             }
@@ -312,13 +243,10 @@ impl Reactor {
         }
     }
 
-    /// Stop accepting (drops the listeners, releasing the ports) and
+    /// Stop accepting (drops the listener, releasing the port) and
     /// close every connection as soon as it is idle and flushed.
     fn begin_drain(&mut self) {
-        if let Some(l) = self.json.take() {
-            let _ = self.epoll.del(l.as_raw_fd());
-        }
-        if let Some(l) = self.bin.take() {
+        if let Some(l) = self.listener.take() {
             let _ = self.epoll.del(l.as_raw_fd());
         }
         for idx in 0..self.conns.len() {
@@ -336,19 +264,15 @@ impl Reactor {
         }
     }
 
-    fn accept(&mut self, listener: Listener) {
+    fn accept(&mut self) {
         loop {
-            let l = match listener {
-                Listener::Json => self.json.as_ref(),
-                Listener::Bin => self.bin.as_ref(),
-            };
-            let Some(l) = l else { return };
+            let Some(l) = self.listener.as_ref() else { return };
             match l.accept() {
                 Ok((stream, _)) => {
                     if self.state.is_shutdown() {
                         continue; // late arrivals during drain: just drop
                     }
-                    self.register(stream, listener);
+                    self.register(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -357,7 +281,7 @@ impl Reactor {
         }
     }
 
-    fn register(&mut self, stream: TcpStream, listener: Listener) {
+    fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -372,14 +296,10 @@ impl Reactor {
         }
         self.gen += 1;
         self.state.count_connection();
-        let parser = match listener {
-            Listener::Json => Parser::Json { buf: Vec::new(), skipping: false },
-            Listener::Bin => Parser::Bin(FrameAccum::new()),
-        };
         self.conns[idx] = Some(Conn {
             stream,
             gen: self.gen,
-            parser,
+            parser: Parser::new(),
             out: Vec::new(),
             wpos: 0,
             in_flight: false,
@@ -405,59 +325,68 @@ impl Reactor {
         }
     }
 
-    /// Pull everything the socket has into the parser, then advance the
-    /// state machine.
+    /// Read the socket into the parser until it would block or a request
+    /// dispatches (the rest waits in the kernel), then advance the state
+    /// machine.
     fn readable(&mut self, idx: usize) {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             let Some(c) = self.conns[idx].as_mut() else { return };
             if c.in_flight {
-                return; // stale event from this batch; interest is off
+                break; // a request dispatched, or a stale event from this batch
             }
             match c.stream.read(&mut chunk) {
                 Ok(0) => {
                     c.eof = true;
                     break;
                 }
-                Ok(n) => match &mut c.parser {
-                    Parser::Json { buf, .. } => buf.extend_from_slice(&chunk[..n]),
-                    Parser::Bin(accum) => accum.push(&chunk[..n]),
-                },
+                Ok(n) => c.parser.push(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(idx);
                     return;
                 }
             }
+            // Parse each chunk as it lands, so an oversized JSON line is
+            // dropped chunk by chunk however fast the peer sends.
+            if !self.parse(idx) {
+                return;
+            }
         }
         self.advance(idx);
     }
 
-    /// Parse buffered bytes until a frame dispatches, the buffer runs
-    /// dry, or the connection dies; then flush and re-arm interest.
+    /// Parse buffered bytes, then flush and re-arm interest.
     fn advance(&mut self, idx: usize) {
+        if self.parse(idx) && self.flush(idx) {
+            self.rearm(idx);
+        }
+    }
+
+    /// Parse buffered bytes until a frame dispatches, the buffer runs
+    /// dry, or the connection closes.  Returns `false` if it closed.
+    fn parse(&mut self, idx: usize) -> bool {
         loop {
             let step = {
-                let Some(c) = self.conns[idx].as_mut() else { return };
+                let Some(c) = self.conns[idx].as_mut() else { return false };
                 if c.in_flight || c.closing {
-                    break;
+                    return true;
                 }
-                parse_step(c)
+                c.parser.step()
             };
             match step {
-                Step::Skip => continue,
                 Step::Idle => {
-                    let Some(c) = self.conns[idx].as_mut() else { return };
+                    let Some(c) = self.conns[idx].as_mut() else { return false };
                     if c.eof {
                         // Peer finished sending; nothing left to answer.
                         if c.flushed() {
                             self.close(idx);
-                            return;
+                            return false;
                         }
                         c.closing = true;
                     }
-                    break;
+                    return true;
                 }
                 Step::Dispatch(job) => {
                     let gen = {
@@ -466,25 +395,22 @@ impl Reactor {
                         c.gen
                     };
                     self.submit(idx, gen, job);
-                    break;
+                    return true;
                 }
                 Step::JsonTooLarge => {
                     let reply = self.state.reject_oversized_json();
                     let c = self.conns[idx].as_mut().unwrap();
                     c.out.extend_from_slice(reply.as_bytes());
-                    continue; // the parser already resynced
+                    // The parser already resynced; go on parsing.
                 }
                 Step::BinFatal => {
                     let reply = self.state.reject_oversized_bin();
                     let c = self.conns[idx].as_mut().unwrap();
                     c.out.extend_from_slice(&reply);
                     c.closing = true; // no boundary to resync on
-                    break;
+                    return true;
                 }
             }
-        }
-        if self.flush(idx) {
-            self.rearm(idx);
         }
     }
 
@@ -494,19 +420,9 @@ impl Reactor {
         let completions = Arc::clone(&self.completions);
         let evfd = Arc::clone(&self.evfd);
         self.exec.submit(Box::new(move || {
-            // The completion must post even if the handler path panics,
-            // or `n_inflight` never drains and shutdown hangs.
-            let reply = catch_unwind(AssertUnwindSafe(|| match &job {
-                Job::Json(line) => handle_frame_json(&state, line).into_bytes(),
-                Job::Bin(payload) => handle_frame_bin(&state, payload),
-            }))
-            .unwrap_or_else(|_| {
-                let e = ServeError::panicked("request dispatch panicked");
-                match &job {
-                    Job::Json(_) => response_err(None, &e).into_bytes(),
-                    Job::Bin(_) => binproto::encode_response_err(None, &e),
-                }
-            });
+            // `reply` turns a handler-path panic into an error reply, so
+            // the completion always posts and `n_inflight` drains.
+            let reply = job.reply(&state);
             completions.lock().unwrap_or_else(|p| p.into_inner()).push(Completion {
                 idx,
                 gen,
@@ -529,8 +445,8 @@ impl Reactor {
             c.out.extend_from_slice(&comp.reply);
             c.in_flight = false;
             if self.state.is_shutdown() {
-                // Matches the threaded loop: last reply is written, then
-                // the connection winds down.
+                // As in the threaded loop: the last reply is written,
+                // then the connection winds down.
                 self.conns[comp.idx].as_mut().unwrap().closing = true;
             }
             // Already-buffered pipelined frames proceed before EPOLLIN is
@@ -609,60 +525,12 @@ impl Reactor {
     }
 }
 
-/// One parse attempt against a connection's buffer.  JSON mirrors
-/// [`crate::proto::FrameReader`] exactly (newline framing, `\r`
-/// stripping, lossy UTF-8, `MAX_FRAME` with resync); binary defers to
-/// [`FrameAccum`].
-fn parse_step(c: &mut Conn) -> Step {
-    match &mut c.parser {
-        Parser::Json { buf, skipping } => loop {
-            if *skipping {
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(nl) => {
-                        buf.drain(..=nl);
-                        *skipping = false;
-                        return Step::JsonTooLarge;
-                    }
-                    None => {
-                        buf.clear();
-                        return Step::Idle;
-                    }
-                }
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    let mut line: Vec<u8> = buf.drain(..=nl).collect();
-                    line.pop(); // the newline
-                    if line.len() > MAX_FRAME {
-                        return Step::JsonTooLarge;
-                    }
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let line = String::from_utf8_lossy(&line).into_owned();
-                    if line.trim().is_empty() {
-                        return Step::Skip;
-                    }
-                    return Step::Dispatch(Job::Json(line));
-                }
-                None if buf.len() > MAX_FRAME => {
-                    *skipping = true;
-                    continue;
-                }
-                None => return Step::Idle,
-            }
-        },
-        Parser::Bin(accum) => match accum.next_frame() {
-            Ok(Some(payload)) => Step::Dispatch(Job::Bin(payload)),
-            Ok(None) => Step::Idle,
-            Err(_) => Step::BinFatal,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binproto::{self, PREFACE};
+    use crate::proto::{Request, MAX_FRAME};
+    use crate::svjson::Json;
 
     #[test]
     fn executor_runs_jobs_and_retires_idle_threads() {
@@ -704,71 +572,75 @@ mod tests {
         assert_eq!(n.load(Ordering::SeqCst), 1);
     }
 
-    fn json_conn(bytes: &[u8]) -> Conn {
-        // A socket pair purely to satisfy the struct; parse_step never
-        // touches the stream.
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        Conn {
-            stream,
-            gen: 1,
-            parser: Parser::Json { buf: bytes.to_vec(), skipping: false },
-            out: Vec::new(),
-            wpos: 0,
-            in_flight: false,
-            closing: false,
-            eof: false,
-            interest: 0,
-        }
+    fn json_parser(bytes: &[u8]) -> Parser {
+        let mut p = Parser::new();
+        p.push(bytes);
+        assert!(matches!(p, Parser::Json(_)), "a first byte other than NUL picks JSON");
+        p
     }
 
     #[test]
     fn parse_step_mirrors_frame_reader_semantics() {
-        // Lines, \r\n, empty-line skip, partial retained.
-        let mut c = json_conn(b"one\r\ntwo\n\n  \npart");
-        assert!(matches!(parse_step(&mut c), Step::Dispatch(Job::Json(l)) if l == "one"));
-        assert!(matches!(parse_step(&mut c), Step::Dispatch(Job::Json(l)) if l == "two"));
-        assert!(matches!(parse_step(&mut c), Step::Skip));
-        assert!(matches!(parse_step(&mut c), Step::Skip));
-        assert!(matches!(parse_step(&mut c), Step::Idle));
+        // Lines, \r\n, empty lines skipped, partial retained.
+        let mut p = json_parser(b"one\r\ntwo\n\n  \npart");
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "one"));
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "two"));
+        assert!(matches!(p.step(), Step::Idle));
+        p.push(b"\n");
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "part"));
 
         // An oversized line resyncs to the next newline and survives.
         let mut big = vec![b'x'; MAX_FRAME + 1];
         big.extend_from_slice(b"\nnext\n");
-        let mut c = json_conn(&big);
-        assert!(matches!(parse_step(&mut c), Step::JsonTooLarge));
-        assert!(matches!(parse_step(&mut c), Step::Dispatch(Job::Json(l)) if l == "next"));
+        let mut p = json_parser(&big);
+        assert!(matches!(p.step(), Step::JsonTooLarge));
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "next"));
 
-        // Oversized with no newline yet: skipping kicks in, then the
-        // late newline finishes the resync.
-        let mut c = json_conn(&vec![b'y'; MAX_FRAME + 2]);
-        assert!(matches!(parse_step(&mut c), Step::Idle));
-        if let Parser::Json { buf, skipping } = &mut c.parser {
-            assert!(*skipping);
-            assert!(buf.is_empty());
-            buf.extend_from_slice(b"tail\nok\n");
-        }
-        assert!(matches!(parse_step(&mut c), Step::JsonTooLarge));
-        assert!(matches!(parse_step(&mut c), Step::Dispatch(Job::Json(l)) if l == "ok"));
+        // Oversized with no newline yet: the bytes are discarded, then
+        // the late newline finishes the resync.
+        let mut p = json_parser(&vec![b'y'; MAX_FRAME + 2]);
+        assert!(matches!(p.step(), Step::Idle));
+        let Parser::Json(lines) = &p else { unreachable!() };
+        assert_eq!(lines.buffered(), 0, "the oversized bytes are dropped, not kept");
+        p.push(b"tail\nok\n");
+        assert!(matches!(p.step(), Step::JsonTooLarge));
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "ok"));
     }
 
     #[test]
     fn parse_step_bin_oversize_is_fatal() {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let mut accum = FrameAccum::new();
-        accum.push(&((MAX_FRAME + 1) as u32).to_le_bytes());
-        let mut c = Conn {
-            stream,
-            gen: 1,
-            parser: Parser::Bin(accum),
-            out: Vec::new(),
-            wpos: 0,
-            in_flight: false,
-            closing: false,
-            eof: false,
-            interest: 0,
-        };
-        assert!(matches!(parse_step(&mut c), Step::BinFatal));
+        let mut p = Parser::new();
+        p.push(&PREFACE);
+        p.push(&((MAX_FRAME + 1) as u32).to_le_bytes());
+        assert!(matches!(p.step(), Step::BinFatal));
+    }
+
+    #[test]
+    fn sniff_waits_for_the_preface_and_replays_a_mismatch_as_json() {
+        // The preface one byte at a time: undecided until the last byte,
+        // then the frame behind it parses as binary.
+        let mut p = Parser::new();
+        for b in PREFACE {
+            assert!(matches!(p, Parser::Sniff(_)));
+            assert!(matches!(p.step(), Step::Idle));
+            p.push(&[b]);
+        }
+        let req = Request { id: 3, method: "ping".into(), params: Json::Null, trace: None };
+        let frame = binproto::encode_request(&req, &[]);
+        p.push(&frame);
+        assert!(matches!(p.step(), Step::Dispatch(Job::Bin(b)) if b == frame[4..]));
+
+        // Two preface bytes, then a byte that breaks it: every buffered
+        // byte is replayed into the line framer.
+        let mut p = Parser::new();
+        p.push(&PREFACE[..2]);
+        assert!(matches!(p.step(), Step::Idle));
+        p.push(b"garbage\n");
+        assert!(matches!(p.step(), Step::Dispatch(Job::Json(l)) if l == "\0Sgarbage"));
+
+        // A JSON request whose first byte matches nothing decides at once.
+        let mut p = Parser::new();
+        p.push(b"{");
+        assert!(matches!(p, Parser::Json(_)));
     }
 }

@@ -7,26 +7,28 @@
 //! shared [`JobPool`], keyed by `method + canonical params`, so identical
 //! concurrent requests from different connections execute once.
 //!
-//! Two listeners serve the same dispatch path: the line-framed JSON
-//! protocol (the original wire, kept byte-identical for old clients) and
-//! a length-prefixed binary protocol ([`crate::binproto`]) that carries
-//! svpack bytes verbatim.  On Linux both are driven by the epoll
-//! [`crate::reactor`]; elsewhere (or with `SVSERVE_NO_REACTOR=1`, or if
-//! reactor setup fails) a thread-per-connection fallback takes over with
-//! identical semantics.
+//! One listener serves two wires through the same dispatch path: the
+//! line-framed JSON protocol (the original wire, kept byte-identical for
+//! old clients) and a length-prefixed binary protocol
+//! ([`crate::binproto`]) that carries svpack bytes verbatim.  Each
+//! connection picks its wire with its first bytes ([`Parser`]).  On Linux
+//! the epoll [`crate::reactor`] drives every connection; other platforms
+//! get a thread-per-connection loop over the same [`Parser`].
 
-use crate::binproto;
+use crate::binproto::{self, FrameAccum};
+use crate::client::Wire;
 use crate::faults::FaultPlan;
 use crate::proto::{
-    id_hex, parse_id_hex, parse_request, response_err, response_ok, FrameRead, FrameReader,
-    Request, ServeError,
+    id_hex, parse_id_hex, parse_request, response_err, response_ok, FrameRead, LineAccum, Request,
+    ServeError,
 };
 use crate::sched::{JobCtx, JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
 use crate::svjson::Json;
 use crate::tracewire;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -68,12 +70,6 @@ pub struct ServeConfig {
     /// the client sent no trace context (on by default; explicit client
     /// contexts are always honoured).
     pub flight_recorder: bool,
-    /// Serve the length-prefixed binary protocol on a second listener
-    /// (on by default; `health` advertises the port for negotiation).
-    pub bin_enabled: bool,
-    /// Bind address for the binary listener.  `None` picks an ephemeral
-    /// port on the JSON listener's IP.
-    pub bin_addr: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -85,8 +81,6 @@ impl Default for ServeConfig {
             faults: None,
             slow_threshold: None,
             flight_recorder: true,
-            bin_enabled: true,
-            bin_addr: None,
         }
     }
 }
@@ -100,9 +94,9 @@ pub type FanoutHandler =
     Arc<dyn Fn(&Json, &FanoutCtx<'_>) -> Result<Json, ServeError> + Send + Sync>;
 
 /// A registered blob handler: returns JSON metadata plus an opaque byte
-/// payload (svpack, typically).  On the binary listener the bytes ride
-/// the frame verbatim; the JSON compat listener folds them into the
-/// result as `svpack_hex`.
+/// payload (svpack, typically).  On the binary wire the bytes ride the
+/// frame verbatim; the JSON wire folds them into the result as
+/// `svpack_hex`.
 pub type BlobHandler = Arc<dyn Fn(&Json) -> Result<(Json, Arc<Vec<u8>>), ServeError> + Send + Sync>;
 
 /// What dispatch hands the frame layer: the JSON result plus the
@@ -230,18 +224,10 @@ impl Router {
     }
 }
 
-/// Which listener a request arrived on (per-protocol telemetry).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Listener {
-    Json,
-    Bin,
-}
-
 pub(crate) struct ServerState {
     pub(crate) router: Router,
     pub(crate) pool: JobPool,
     pub(crate) addr: SocketAddr,
-    pub(crate) bin_addr: Option<SocketAddr>,
     pub(crate) deadline: Option<Duration>,
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
@@ -255,12 +241,12 @@ pub(crate) struct ServerState {
     /// Rolling request-latency window (µs) and error-count window.
     pub(crate) win_requests: RollingWindow,
     pub(crate) win_errors: RollingWindow,
-    /// Per-listener request counts (the compat listener's residual
-    /// traffic is the interesting number during migration).
+    /// Per-wire request counts (the JSON wire's residual traffic is the
+    /// interesting number during migration).
     pub(crate) win_json: RollingWindow,
     pub(crate) win_bin: RollingWindow,
     /// Installed by the reactor: wakes its `epoll_wait` without a
-    /// throwaway TCP connect.  `None` in threaded-fallback mode.
+    /// throwaway TCP connect.  `None` under the threaded loop.
     waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -274,18 +260,13 @@ impl ServerState {
     }
 
     /// Wake whatever is blocked waiting for work: the reactor's eventfd
-    /// if one is installed, else the blocking accept loops (throwaway
-    /// connects, the pre-reactor mechanism).
+    /// if one is installed, else the threaded loop's blocking accept (a
+    /// throwaway connect).
     pub(crate) fn wake(&self) {
         let waker = self.waker.lock().unwrap_or_else(|p| p.into_inner()).clone();
         match waker {
             Some(w) => w(),
-            None => {
-                let _ = TcpStream::connect(self.addr);
-                if let Some(b) = self.bin_addr {
-                    let _ = TcpStream::connect(b);
-                }
-            }
+            None => drop(TcpStream::connect(self.addr)),
         }
     }
 
@@ -377,7 +358,7 @@ impl ServerState {
 
     /// [`dispatch_full`](ServerState::dispatch_full) flattened for JSON
     /// consumers: a blob payload is folded into the result object as
-    /// `svpack_hex` (the compat listener's carriage).  Production code
+    /// `svpack_hex` (the JSON wire's carriage).  Production code
     /// reaches it through [`fold_blob`] at the frame layer; unit tests
     /// drive it directly.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -391,7 +372,7 @@ impl ServerState {
 
     /// Serve one request: builtins inline, routed methods through the
     /// pool.  Blob handlers return their payload out-of-band so the
-    /// binary listener can write it verbatim.
+    /// binary wire can write it verbatim.
     fn dispatch_full(self: &Arc<Self>, method: &str, params: &Json) -> DispatchReply {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let _req_span = svtrace::span!("serve.request", method = method);
@@ -402,23 +383,18 @@ impl ServerState {
             "health" => {
                 let p = self.pool.stats();
                 let draining = self.pool.is_draining() || self.shutdown.load(Ordering::SeqCst);
-                let mut protocols = vec![Json::str("json")];
-                let mut fields = vec![
-                    ("status".to_string(), Json::str(if draining { "draining" } else { "ok" })),
-                    ("workers".to_string(), Json::Num(p.workers as f64)),
-                    ("queued".to_string(), Json::Num(p.queued as f64)),
-                    ("uptime_ms".to_string(), Json::Num(self.started.elapsed().as_millis() as f64)),
+                Ok(Json::obj([
+                    ("status", Json::str(if draining { "draining" } else { "ok" })),
+                    ("workers", Json::Num(p.workers as f64)),
+                    ("queued", Json::Num(p.queued as f64)),
+                    ("uptime_ms", Json::Num(self.started.elapsed().as_millis() as f64)),
                     // Which TED DP kernel this host dispatches to
                     // ("simd-avx512f" … "scalar"), so operators can tell
                     // at a glance whether the hot path is vectorised.
-                    ("kernel".to_string(), Json::str(svdist::active_kernel_name())),
-                ];
-                if let Some(b) = self.bin_addr {
-                    protocols.push(Json::str("bin"));
-                    fields.push(("bin_port".to_string(), Json::Num(b.port() as f64)));
-                }
-                fields.push(("protocols".to_string(), Json::Array(protocols)));
-                Ok(Json::Object(fields.into_iter().collect()))
+                    ("kernel", Json::str(svdist::active_kernel_name())),
+                    // Both wires share the listener (see `binproto::PREFACE`).
+                    ("protocols", Json::Array(vec![Json::str("json"), Json::str("bin")])),
+                ]))
             }
             "methods" => {
                 let mut m = self.router.methods();
@@ -507,7 +483,7 @@ impl ServerState {
 }
 
 /// Fold an out-of-band blob into a JSON result as `svpack_hex` (the
-/// compat listener cannot carry raw bytes).
+/// JSON wire cannot carry raw bytes).
 fn fold_blob(result: Json, blob: Option<Arc<Vec<u8>>>) -> Json {
     match blob {
         None => result,
@@ -535,11 +511,6 @@ impl ServeHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The binary listener's address, when one is serving.
-    pub fn bin_addr(&self) -> Option<SocketAddr> {
-        self.state.bin_addr
     }
 
     /// Live stats snapshot, same shape as the `stats` method's result.
@@ -590,7 +561,9 @@ impl Drop for ServeHandle {
     }
 }
 
-/// How often blocked reads/accepts wake up to poll the shutdown flag.
+/// How often the threaded loop's blocked reads wake up to poll the
+/// shutdown flag.
+#[cfg_attr(target_os = "linux", allow(dead_code))]
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Bind `addr` and serve `router` on `workers` pool threads.
@@ -602,7 +575,9 @@ pub fn serve(addr: impl ToSocketAddrs, router: Router, workers: usize) -> io::Re
 }
 
 /// [`serve`] with the full robustness configuration: queue bound,
-/// per-request deadline, and (in tests) a fault-injection plan.
+/// per-request deadline, and (in tests) a fault-injection plan.  One
+/// socket serves both wires.  On Linux a failure to set up the reactor
+/// (epoll, eventfd) is returned here.
 pub fn serve_with(
     addr: impl ToSocketAddrs,
     router: Router,
@@ -610,23 +585,27 @@ pub fn serve_with(
 ) -> io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let bin_listener = if config.bin_enabled {
-        Some(match &config.bin_addr {
-            Some(a) => TcpListener::bind(a.as_str())?,
-            None => TcpListener::bind(SocketAddr::new(addr.ip(), 0))?,
-        })
-    } else {
-        None
+    let state = new_state(addr, router, config);
+    #[cfg(target_os = "linux")]
+    let serve = {
+        let reactor = crate::reactor::Reactor::new(listener, Arc::clone(&state))?;
+        move || reactor.run()
     };
-    let bin_addr = match &bin_listener {
-        Some(l) => Some(l.local_addr()?),
-        None => None,
+    #[cfg(not(target_os = "linux"))]
+    let serve = {
+        let state = Arc::clone(&state);
+        move || accept_loop(listener, state)
     };
+    let accept_thread = std::thread::Builder::new().name("svserve-accept".into()).spawn(serve)?;
+    Ok(ServeHandle { addr, state, accept_thread: Some(accept_thread) })
+}
+
+fn new_state(addr: SocketAddr, router: Router, config: ServeConfig) -> Arc<ServerState> {
     let mut recorder_cfg = RecorderConfig::default();
     if let Some(t) = config.slow_threshold {
         recorder_cfg.slow_threshold = t;
     }
-    let state = Arc::new(ServerState {
+    Arc::new(ServerState {
         router,
         pool: JobPool::with_config(PoolConfig {
             workers: config.workers,
@@ -634,7 +613,6 @@ pub fn serve_with(
             faults: config.faults,
         }),
         addr,
-        bin_addr,
         deadline: config.deadline,
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
@@ -648,86 +626,17 @@ pub fn serve_with(
         win_json: RollingWindow::new(&[1]),
         win_bin: RollingWindow::new(&[1]),
         waker: Mutex::new(None),
-    });
-    let accept_state = Arc::clone(&state);
-    let accept_thread = std::thread::Builder::new()
-        .name("svserve-accept".into())
-        .spawn(move || serve_entry(listener, bin_listener, accept_state))?;
-    Ok(ServeHandle { addr, state, accept_thread: Some(accept_thread) })
-}
-
-/// Pick the serving strategy: the epoll reactor on Linux (unless
-/// `SVSERVE_NO_REACTOR=1`), falling back to thread-per-connection when
-/// reactor setup fails or the platform has no epoll.
-fn serve_entry(json: TcpListener, bin: Option<TcpListener>, state: Arc<ServerState>) {
-    #[cfg(target_os = "linux")]
-    let (json, bin) = {
-        if std::env::var_os("SVSERVE_NO_REACTOR").is_none() {
-            match crate::reactor::run(json, bin, Arc::clone(&state)) {
-                Ok(()) => return,
-                Err(listeners) => listeners,
-            }
-        } else {
-            (json, bin)
-        }
-    };
-    threaded_accept(json, bin, state);
-}
-
-/// Thread-per-connection fallback: one blocking accept loop per
-/// listener, one thread per connection.
-fn threaded_accept(json: TcpListener, bin: Option<TcpListener>, state: Arc<ServerState>) {
-    let bin_thread = bin.map(|l| {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("svserve-accept-bin".into())
-            .spawn(move || accept_loop(l, state, Listener::Bin))
-    });
-    accept_loop(json, Arc::clone(&state), Listener::Json);
-    if let Some(Ok(t)) = bin_thread {
-        let _ = t.join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>, kind: Listener) {
-    let mut conn_threads = Vec::new();
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break; // the shutdown wake-up connection
-                }
-                state.count_connection();
-                let state = Arc::clone(&state);
-                if let Ok(t) = std::thread::Builder::new().name("svserve-conn".into()).spawn(
-                    move || match kind {
-                        Listener::Json => serve_connection(stream, state),
-                        Listener::Bin => serve_connection_bin(stream, state),
-                    },
-                ) {
-                    conn_threads.push(t);
-                }
-                // Reap finished connection threads opportunistically.
-                conn_threads.retain(|t| !t.is_finished());
-            }
-            Err(_) => break,
-        }
-    }
-    // Connections poll the shutdown flag at POLL_INTERVAL; join them so
-    // shutdown stats include every request.
-    for t in conn_threads {
-        let _ = t.join();
-    }
+    })
 }
 
 /// Serve one request end to end: self-sampling, flight-recorder
 /// bookkeeping, dispatch under `catch_unwind`, latency/error windows.
-/// Both protocols and both serving strategies funnel through here, so
-/// their semantics cannot drift.
+/// Both wires and both connection loops funnel through here, so their
+/// semantics cannot drift.
 pub(crate) fn process_request(
     state: &Arc<ServerState>,
     req: &Request,
-    listener: Listener,
+    wire: Wire,
 ) -> DispatchReply {
     let t0 = Instant::now();
     // An explicit client context wins; routed methods are otherwise
@@ -750,9 +659,7 @@ pub(crate) fn process_request(
                 sink: (sampled != 0).then(|| Arc::clone(&state.recorder)),
             }))
         });
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.dispatch_full(&req.method, &req.params)
-        }))
+        catch_unwind(AssertUnwindSafe(|| state.dispatch_full(&req.method, &req.params)))
     };
     let code = match &outcome {
         Ok(Ok(_)) => "ok",
@@ -760,9 +667,9 @@ pub(crate) fn process_request(
         Err(_) => "panic",
     };
     state.win_requests.record(t0.elapsed().as_micros() as u64);
-    match listener {
-        Listener::Json => state.win_json.record(1),
-        Listener::Bin => state.win_bin.record(1),
+    match wire {
+        Wire::Json => state.win_json.record(1),
+        Wire::Bin => state.win_bin.record(1),
     }
     if code != "ok" {
         state.win_errors.record(1);
@@ -778,15 +685,14 @@ pub(crate) fn process_request(
     }
 }
 
-/// One JSON line in, one JSON reply line out (reactor and threaded
-/// fallback both call this).
-pub(crate) fn handle_frame_json(state: &Arc<ServerState>, line: &str) -> String {
+/// One JSON line in, one JSON reply line out.
+fn handle_frame_json(state: &Arc<ServerState>, line: &str) -> String {
     match parse_request(line) {
         Err(e) => {
             state.errors.fetch_add(1, Ordering::Relaxed);
             response_err(None, &e)
         }
-        Ok(req) => match process_request(state, &req, Listener::Json) {
+        Ok(req) => match process_request(state, &req, Wire::Json) {
             Ok((result, blob)) => response_ok(req.id, fold_blob(result, blob)),
             Err(e) => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
@@ -797,13 +703,13 @@ pub(crate) fn handle_frame_json(state: &Arc<ServerState>, line: &str) -> String 
 }
 
 /// One binary frame payload in, one framed binary reply out.
-pub(crate) fn handle_frame_bin(state: &Arc<ServerState>, payload: &[u8]) -> Vec<u8> {
+fn handle_frame_bin(state: &Arc<ServerState>, payload: &[u8]) -> Vec<u8> {
     match binproto::decode_request(payload) {
         Err(e) => {
             state.errors.fetch_add(1, Ordering::Relaxed);
             binproto::encode_response_err(None, &e)
         }
-        Ok((req, _blobs)) => match process_request(state, &req, Listener::Bin) {
+        Ok((req, _blobs)) => match process_request(state, &req, Wire::Bin) {
             Ok((result, blob)) => {
                 binproto::encode_response_ok(req.id, &result, blob.as_ref().map(|b| b.as_slice()))
             }
@@ -815,58 +721,175 @@ pub(crate) fn handle_frame_bin(state: &Arc<ServerState>, payload: &[u8]) -> Vec<
     }
 }
 
-fn serve_connection(stream: TcpStream, state: Arc<ServerState>) {
-    // Short read timeouts let the connection poll the shutdown flag while
-    // staying responsive; FrameReader keeps partial frames across them.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = FrameReader::new(stream);
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
+/// A connection's inbound framing, shared by the reactor and the
+/// threaded loop so the wires' rules cannot drift between them.
+///
+/// Every connection starts in `Sniff`, buffering until its first bytes
+/// decide the wire ([`binproto::sniff`]): the full preface switches it
+/// to binary frames (the preface itself dropped); bytes that stop
+/// matching the preface are replayed into the JSON line framer, so a
+/// garbage line gets the same `parse_error` reply it always did.
+pub(crate) enum Parser {
+    Sniff(Vec<u8>),
+    Json(LineAccum),
+    Bin(FrameAccum),
+}
+
+/// A complete inbound frame, ready to execute.
+pub(crate) enum Job {
+    Json(String),
+    Bin(Vec<u8>),
+}
+
+/// One parse attempt's outcome.
+pub(crate) enum Step {
+    /// No complete frame buffered.
+    Idle,
+    Dispatch(Job),
+    /// Oversized JSON line: error reply, resync, connection survives.
+    JsonTooLarge,
+    /// Oversized/corrupt binary length prefix: error reply, then close.
+    BinFatal,
+}
+
+impl Parser {
+    pub(crate) fn new() -> Parser {
+        Parser::Sniff(Vec::new())
+    }
+
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        match self {
+            Parser::Json(lines) => lines.push(bytes),
+            Parser::Bin(frames) => frames.push(bytes),
+            Parser::Sniff(head) => {
+                head.extend_from_slice(bytes);
+                match binproto::sniff(head) {
+                    None => {}
+                    Some(Wire::Json) => {
+                        let mut lines = LineAccum::new();
+                        lines.push(head);
+                        *self = Parser::Json(lines);
+                    }
+                    Some(Wire::Bin) => {
+                        let mut frames = FrameAccum::new();
+                        frames.push(&head[binproto::PREFACE.len()..]);
+                        *self = Parser::Bin(frames);
+                    }
+                }
+            }
         }
-        let frame = match reader.read_frame() {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let reply = match frame {
-            FrameRead::Eof => return,
-            FrameRead::Timeout => continue,
-            FrameRead::TooLarge => state.reject_oversized_json(),
-            FrameRead::Line(line) if line.trim().is_empty() => continue,
-            FrameRead::Line(line) => handle_frame_json(&state, &line),
-        };
-        if writer.write_all(reply.as_bytes()).is_err() {
-            return;
+    }
+
+    pub(crate) fn step(&mut self) -> Step {
+        match self {
+            Parser::Sniff(_) => Step::Idle,
+            Parser::Json(lines) => loop {
+                match lines.next_frame() {
+                    None => return Step::Idle,
+                    // Empty lines are skipped without a reply.
+                    Some(FrameRead::Line(line)) if line.trim().is_empty() => {}
+                    Some(FrameRead::Line(line)) => return Step::Dispatch(Job::Json(line)),
+                    // `LineAccum` yields only lines and `TooLarge`.
+                    Some(_) => return Step::JsonTooLarge,
+                }
+            },
+            Parser::Bin(frames) => match frames.next_frame() {
+                Ok(Some(payload)) => Step::Dispatch(Job::Bin(payload)),
+                Ok(None) => Step::Idle,
+                Err(_) => Step::BinFatal,
+            },
         }
     }
 }
 
-fn serve_connection_bin(stream: TcpStream, state: Arc<ServerState>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = binproto::BinFrameReader::new(stream);
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
+impl Job {
+    /// Execute the frame and encode the reply on its own wire.  A panic
+    /// anywhere on the way still produces a reply.
+    pub(crate) fn reply(&self, state: &Arc<ServerState>) -> Vec<u8> {
+        catch_unwind(AssertUnwindSafe(|| match self {
+            Job::Json(line) => handle_frame_json(state, line).into_bytes(),
+            Job::Bin(payload) => handle_frame_bin(state, payload),
+        }))
+        .unwrap_or_else(|_| {
+            let e = ServeError::panicked("request dispatch panicked");
+            match self {
+                Job::Json(_) => response_err(None, &e).into_bytes(),
+                Job::Bin(_) => binproto::encode_response_err(None, &e),
+            }
+        })
+    }
+}
+
+/// The connection loop where there is no epoll: one blocking accept
+/// loop, one thread per connection.
+#[cfg_attr(target_os = "linux", allow(dead_code))]
+fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
+    let mut conn_threads = Vec::new();
+    while !state.is_shutdown() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if state.is_shutdown() {
+                    break; // the shutdown wake-up connection
+                }
+                state.count_connection();
+                let state = Arc::clone(&state);
+                if let Ok(t) = std::thread::Builder::new()
+                    .name("svserve-conn".into())
+                    .spawn(move || serve_connection(stream, state))
+                {
+                    conn_threads.push(t);
+                }
+                // Reap finished connection threads opportunistically.
+                conn_threads.retain(|t| !t.is_finished());
+            }
+            Err(_) => break,
         }
-        let reply = match reader.read_frame() {
-            Ok(binproto::BinRead::Eof) | Err(_) => return,
-            Ok(binproto::BinRead::Timeout) => continue,
-            Ok(binproto::BinRead::TooLarge) => {
+    }
+    // Connections poll the shutdown flag at POLL_INTERVAL; join them so
+    // shutdown stats include every request.
+    for t in conn_threads {
+        let _ = t.join();
+    }
+}
+
+/// Serve one connection on its own thread: blocking reads feed the
+/// [`Parser`], one request at a time, like the reactor.
+#[cfg_attr(target_os = "linux", allow(dead_code))]
+fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
+    // Short read timeouts let the connection poll the shutdown flag while
+    // staying responsive; the parser keeps partial frames across them.
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut parser = Parser::new();
+    let mut chunk = [0u8; 8192];
+    while !state.is_shutdown() {
+        let reply = match parser.step() {
+            Step::Dispatch(job) => job.reply(&state),
+            Step::JsonTooLarge => state.reject_oversized_json().into_bytes(),
+            Step::BinFatal => {
                 // No boundary to resync on: reply, then close.
-                let _ = writer.write_all(&state.reject_oversized_bin());
+                let _ = stream.write_all(&state.reject_oversized_bin());
                 return;
             }
-            Ok(binproto::BinRead::Frame(payload)) => handle_frame_bin(&state, &payload),
+            Step::Idle => match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => {
+                    parser.push(&chunk[..n]);
+                    continue;
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue
+                }
+                Err(_) => return,
+            },
         };
-        if writer.write_all(&reply).is_err() {
+        if stream.write_all(&reply).is_err() {
             return;
         }
     }
@@ -956,7 +979,7 @@ pub fn render_stats(stats: &Json) -> String {
             num(w.get("p99_us")),
             num(w.get("err_rate_10s")),
         ));
-        // Per-listener breakdown — only when the stats document carries
+        // Per-wire breakdown — only when the stats document carries
         // it (older servers do not; their reports must not change).
         if w.get("json_rate_10s").is_some() || w.get("bin_rate_10s").is_some() {
             s.push_str(&format!(
@@ -1076,6 +1099,59 @@ mod tests {
             methods.as_array().unwrap().iter().filter_map(Json::as_str).collect();
         assert!(names.contains(&"echo") && names.contains(&"stats"));
         h.shutdown();
+    }
+
+    /// The threaded loop is the serving path only where there is no
+    /// epoll; this drives it directly so every build still runs it.
+    #[test]
+    fn threaded_loop_serves_both_wires_on_one_port() {
+        use crate::binproto::{BinFrameReader, BinRead, PREFACE};
+        use crate::client::Client;
+        use crate::proto::{parse_response, FrameReader, MAX_FRAME};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let state = new_state(addr, test_router(), ServeConfig::default());
+        let loop_state = Arc::clone(&state);
+        let accept = std::thread::spawn(move || accept_loop(listener, loop_state));
+
+        let mut json = Client::connect(addr).unwrap();
+        assert_eq!(json.call("echo", Json::Num(1.0)).unwrap(), Json::Num(1.0));
+        let mut bin = Client::connect_negotiated(addr).unwrap();
+        assert_eq!(bin.wire(), Wire::Bin);
+        assert_eq!(bin.call("echo", Json::Num(2.0)).unwrap(), Json::Num(2.0));
+        assert_eq!(json.call("fail", Json::Null).unwrap_err().code, "internal");
+
+        // A broken preface is the JSON wire.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(b"\0garbage\n").unwrap();
+        let FrameRead::Line(line) = FrameReader::new(raw).read_frame().unwrap() else {
+            panic!("expected a reply line");
+        };
+        let (id, res) = parse_response(&line).unwrap();
+        assert_eq!((id, res.unwrap_err().code), (None, "parse_error"));
+
+        // An oversized binary length: error reply, then close.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&PREFACE).unwrap();
+        raw.write_all(&((MAX_FRAME + 1) as u32).to_le_bytes()).unwrap();
+        let mut reader = BinFrameReader::new(raw);
+        let BinRead::Frame(payload) = reader.read_frame().unwrap() else {
+            panic!("expected an error frame");
+        };
+        let (_, res) = binproto::decode_response(&payload).unwrap();
+        assert_eq!(res.unwrap_err().code, "frame_too_large");
+        assert_eq!(reader.read_frame().unwrap(), BinRead::Eof);
+
+        state.shutdown.store(true, Ordering::SeqCst);
+        state.pool.begin_drain();
+        state.wake();
+        accept.join().unwrap();
+        let stats = state.stats_json();
+        let window = stats.get("window").unwrap();
+        assert!(window.get("json_rate_10s").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(window.get("bin_rate_10s").and_then(Json::as_f64).unwrap() > 0.0);
+        let server = stats.get("server").unwrap();
+        assert_eq!(server.get("connections").and_then(Json::as_f64), Some(4.0));
     }
 
     #[test]
