@@ -20,7 +20,8 @@
 //! * with approx off, `model_matrix` reproduces the sequential oracle
 //!   bit-identically on the PR 5 Fig. 8 workload (CloverLeaf `T_sem`).
 //!
-//! Timings and prefilter accounting land in `BENCH_approx.json`.
+//! Timings and prefilter accounting land in
+//! `target/figures/BENCH_approx.json`.
 
 use bench::save_figure;
 use silvervale::{index_app, model_matrix};
@@ -242,7 +243,5 @@ fn main() {
         stats.bucketed, stats.lb_pruned, stats.cutoff, stats.exact_solves, stats.frontier
     );
 
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    std::fs::write(format!("{repo_root}/BENCH_approx.json"), &json).expect("write BENCH_approx");
     save_figure("BENCH_approx.json", &json);
 }

@@ -7,8 +7,9 @@
 //! the content-addressed `TedCache` answers the divergences, so a
 //! repeated evaluation is pure lookups plus ranking.  This bench runs
 //! the real TCP service end-to-end, measures candidates/second in both
-//! regimes, and writes the medians to `BENCH_port_eval.json` at the
-//! repository root.  Warm evaluation must be ≥2× cold.
+//! regimes, and writes the medians to
+//! `target/figures/BENCH_port_eval.json`.  Warm evaluation must be ≥2×
+//! cold.
 
 use bench::save_figure;
 use silvervale::serve::AnalysisService;
@@ -104,8 +105,5 @@ fn main() {
          the content-addressed TedCache (pure lookups + ranking)\"\n}}\n",
     );
 
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    std::fs::write(format!("{repo_root}/BENCH_port_eval.json"), &json)
-        .expect("write BENCH_port_eval");
     save_figure("BENCH_port_eval.json", &json);
 }

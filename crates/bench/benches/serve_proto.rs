@@ -8,10 +8,10 @@
 //! re-parses it as a string; the binary path opens with the preface and
 //! carries the svpack bytes verbatim.
 //!
-//! Writes `BENCH_serve.json` and asserts at run time that the binary
-//! path sustains at least [`MIN_SPEEDUP`] times the JSON path's
-//! connection rate; CI runs the bench, so the gate is measured on the
-//! runner.
+//! Writes `target/figures/BENCH_serve.json` and asserts at run time
+//! that the binary path sustains at least [`MIN_SPEEDUP`] times the JSON
+//! path's connection rate; CI runs the bench, so the gate is measured on
+//! the runner.
 
 use bench::save_figure;
 use silvervale::svjson::Json;
@@ -148,8 +148,6 @@ fn main() {
          hex-fold plus re-parse, the binary wire carries the bytes verbatim\"\n}}\n",
         payload.len()
     );
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    std::fs::write(format!("{repo_root}/BENCH_serve.json"), &json).expect("write BENCH_serve");
     save_figure("BENCH_serve.json", &json);
     assert!(
         speedup >= MIN_SPEEDUP,

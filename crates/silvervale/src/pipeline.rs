@@ -14,7 +14,7 @@ use svdist::DistanceMatrix;
 use svlang::source::SourceSet;
 use svlang::unit::{compile_unit, UnitOptions};
 use svmetrics::{
-    divergence, divergence_matrix, divergence_matrix_approx, ApproxStats, Artifacts, Measured,
+    divergence_matrix, divergence_matrix_approx, divergence_row, ApproxStats, Artifacts, Measured,
     Metric, Variant,
 };
 use svperf::{phi_all, NavPoint, NavigationChart};
@@ -170,28 +170,23 @@ pub fn model_dendrogram(db: &CodebaseDb, metric: Metric, v: Variant) -> Dendrogr
 }
 
 /// Normalised divergence of every model from `base` (Figs. 7–10): the
-/// heatmap columns "divergence from serial … from 0 to 1".
+/// heatmap columns "divergence from serial … from 0 to 1".  One
+/// `svmetrics::divergence_row`: artefacts extracted once, tree and source
+/// pairs fanned out over all cores largest-first.
 pub fn divergence_from(
     db: &CodebaseDb,
     metric: Metric,
     v: Variant,
     base: &str,
 ) -> Result<Vec<(String, f64)>, Error> {
-    let base_entry = db.entry(base).ok_or_else(|| Error::MissingFile(base.to_string()))?;
-    let base_m = match (&base_entry.coverage, v.coverage) {
-        (Some(c), true) => Measured::of_with_coverage(&base_entry.artifacts, c),
-        _ => Measured::of(&base_entry.artifacts),
-    };
-    let mut out = Vec::new();
-    for e in &db.entries {
-        let m = match (&e.coverage, v.coverage) {
-            (Some(c), true) => Measured::of_with_coverage(&e.artifacts, c),
-            _ => Measured::of(&e.artifacts),
-        };
-        let d = divergence(metric, v, &base_m, &m);
-        out.push((e.label.clone(), d.normalized()));
-    }
-    Ok(out)
+    let base_idx = db
+        .entries
+        .iter()
+        .position(|e| e.label == base)
+        .ok_or_else(|| Error::MissingFile(base.to_string()))?;
+    let measured = measured_entries(db, v);
+    let row = divergence_row(metric, v, &measured[base_idx], &measured);
+    Ok(db.entries.iter().zip(row).map(|(e, d)| (e.label.clone(), d.normalized())).collect())
 }
 
 /// Build the Fig. 13/14 navigation chart: Φ against `T_sem`/`T_src`

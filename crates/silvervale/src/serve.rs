@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use svcluster::{cluster_rows, Heatmap};
 use svcorpus::App;
 use svdist::DistanceMatrix;
-use svmetrics::{divergence, Measured, Metric, Variant};
+use svmetrics::{divergence_row, Measured, Metric, Variant};
 use svperf::phi_all;
 use svport::{GateClass, Leaderboard, ScoredCandidate};
 use svserve::cached::{self, FpArtifact};
@@ -205,7 +205,10 @@ impl AnalysisService {
     }
 
     /// Divergence of every model from `base`, cache-served where possible.
-    /// Values are bit-identical to `pipeline::divergence_from`.
+    /// Values are bit-identical to `pipeline::divergence_from`.  Cacheable
+    /// rows stay on the serving thread: a warm row is one cache lookup per
+    /// pair, which a thread fan-out would only slow down.  The cheap
+    /// metrics run `svmetrics::divergence_row`, which keeps them inline.
     fn cached_divergence_from(
         &self,
         db: &CodebaseDb,
@@ -237,7 +240,8 @@ impl AnalysisService {
                 })
                 .collect()
         } else {
-            direct_divergence_from(&measured, &db.labels(), metric, v, base_idx)
+            let row = divergence_row(metric, v, &measured[base_idx], &measured);
+            db.labels().into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect()
         };
         Ok(out)
     }
@@ -761,25 +765,6 @@ fn with_approx_stats(mut json: Json, stats: &svmetrics::ApproxStats) -> Json {
         );
     }
     json
-}
-
-/// Direct (uncached) divergence-from-base for the cheap metrics; matches
-/// `pipeline::divergence_from` exactly.
-fn direct_divergence_from(
-    measured: &[Measured<'_>],
-    labels: &[String],
-    metric: Metric,
-    v: Variant,
-    base_idx: usize,
-) -> Vec<(String, f64)> {
-    labels
-        .iter()
-        .zip(measured)
-        .map(|(label, m)| {
-            let d = divergence(metric, v, &measured[base_idx], m);
-            (label.clone(), d.normalized())
-        })
-        .collect()
 }
 
 #[cfg(test)]

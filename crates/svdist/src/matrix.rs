@@ -139,34 +139,32 @@ impl DistanceMatrix {
     }
 
     /// [`DistanceMatrix::from_fn_par`] with longest-processing-time-first
-    /// scheduling: pairs are handed to the work-stealing pool in descending
-    /// `cost(i, j)` order, so the most expensive DPs start first and the
-    /// cheap tail backfills the stragglers (classic LPT bound: makespan
-    /// ≤ 4/3 · optimal, versus unbounded for an adversarial order).
+    /// scheduling through `svpar::par_tasks_lpt`: pairs are claimed in
+    /// descending `cost(i, j)` order, so the most expensive DPs start first
+    /// and the cheap tail backfills the stragglers.
     ///
-    /// `cost` only shapes the schedule, never the values: results are
-    /// scattered back by pair index, so the matrix is bit-identical to
-    /// [`DistanceMatrix::from_fn`] for any cost function.  Callers pass a
-    /// cheap estimate — e.g. `|T1|·|T2|` for TED pairs, with 0 for pairs a
-    /// short-circuit will answer (hash-equal trees, fingerprint-equal
-    /// cache hits).
+    /// `cost` only shapes the schedule, never the values: the matrix is
+    /// bit-identical to [`DistanceMatrix::from_fn`] for any cost function.
+    /// Callers pass a cheap estimate — e.g. `|T1|·|T2|` for TED pairs, with
+    /// 0 for pairs a short-circuit will answer (hash-equal trees,
+    /// fingerprint-equal cache hits).
     pub fn from_fn_par_lpt(
         labels: Vec<String>,
         cost: impl Fn(usize, usize) -> u64,
         f: impl Fn(usize, usize) -> f64 + Sync,
     ) -> DistanceMatrix {
-        let n = labels.len();
-        let mut pairs = Self::upper_pairs(n);
-        // Stable: equal-cost pairs keep row-major order, so a constant
-        // estimator degrades to the plain schedule, not a shuffled one.
-        pairs.sort_by_key(|&(i, j)| std::cmp::Reverse(cost(i, j)));
+        let pairs = Self::upper_pairs(labels.len());
         // Per-pair spans make `svpar` utilisation visible in a trace: each
         // worker thread's lane shows which (i, j) cells it claimed and how
         // unevenly the TED costs spread.
-        let dists = svpar::par_tasks(&pairs, |&(i, j)| {
-            let _s = svtrace::span!("matrix.pair", i = i, j = j);
-            f(i, j)
-        });
+        let dists = svpar::par_tasks_lpt(
+            &pairs,
+            |&(i, j)| cost(i, j),
+            |&(i, j)| {
+                let _s = svtrace::span!("matrix.pair", i = i, j = j);
+                f(i, j)
+            },
+        );
         let mut m = DistanceMatrix::new(labels);
         for (&(i, j), d) in pairs.iter().zip(dists) {
             m.set(i, j, d);

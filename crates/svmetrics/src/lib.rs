@@ -318,42 +318,40 @@ impl Divergence {
 }
 
 /// Divergence between two units under a metric/variant (Eq. 6 for one
-/// matched pair).
+/// matched pair): extract both comparison artefacts, then
+/// [`pair_divergence`].
 pub fn divergence(
     metric: Metric,
     v: Variant,
     from: &Measured<'_>,
     to: &Measured<'_>,
 ) -> Divergence {
+    pair_divergence(metric, &pair_art(from, metric, v), &pair_art(to, metric, v))
+}
+
+/// Divergence of every unit in `units` from `base` — one heatmap row of
+/// Figs. 7–10, equal entry for entry to `divergence(metric, v, base, u)`.
+///
+/// Every artefact is extracted once, on the calling thread, so a coverage
+/// variant masks the base tree (and decomposes it) once per row rather
+/// than once per pair.  Tree and `Source` pairs (one TED or O(NP) line
+/// distance each) then fan out over all cores through
+/// `svpar::par_tasks_lpt`, largest DP first; SLOC, LLOC and
+/// `CodeDivergence` pairs cost O(1)/O(n) once extracted and run inline.
+pub fn divergence_row(
+    metric: Metric,
+    v: Variant,
+    base: &Measured<'_>,
+    units: &[Measured<'_>],
+) -> Vec<Divergence> {
+    let b = pair_art(base, metric, v);
+    let arts = pair_artifacts(metric, v, units);
     match metric {
-        Metric::Sloc | Metric::Lloc => {
-            let a = absolute(from, metric, v) as u64;
-            let b = absolute(to, metric, v) as u64;
-            Divergence { distance: a.abs_diff(b), dmax: b.max(1) }
+        Metric::TSrc | Metric::TSem | Metric::TIr | Metric::Source => {
+            svpar::par_tasks_lpt(&arts, |a| pair_cost(&b, a), |a| pair_divergence(metric, &b, a))
         }
-        Metric::Source => {
-            let la = lines_of(from, v);
-            let lb = lines_of(to, v);
-            let d = edit_distance_onp(&la, &lb) as u64;
-            Divergence { distance: d, dmax: (la.len() + lb.len()).max(1) as u64 }
-        }
-        Metric::CodeDivergence => {
-            // Jaccard over line *sets* — resolution 10^6 so the value fits
-            // the integer Divergence form (distance/dmax ≈ the Jaccard
-            // divergence itself).
-            let la = lines_of(from, v);
-            let lb = lines_of(to, v);
-            let j = svdist::jaccard_divergence(la, lb);
-            Divergence { distance: (j * 1.0e6).round() as u64, dmax: 1_000_000 }
-        }
-        Metric::TSrc | Metric::TSem | Metric::TIr => {
-            let ta = tree_of(from, metric, v);
-            let tb = tree_of(to, metric, v);
-            let _s = svtrace::span!("ted.compute", unit = to.art.name, metric = metric.name());
-            let d = ted(&ta, &tb, CostModel::UNIT);
-            let dv = Divergence { distance: d, dmax: tb.size().max(1) as u64 };
-            obs::record_pair(dv.distance, dv.dmax);
-            dv
+        Metric::Sloc | Metric::Lloc | Metric::CodeDivergence => {
+            arts.iter().map(|a| pair_divergence(metric, &b, a)).collect()
         }
     }
 }
@@ -451,24 +449,56 @@ pub fn codebase_divergence(
     Divergence { distance, dmax: dmax.max(1) }
 }
 
-/// Per-unit artefact a pairwise matrix compares: precomputed once per unit
-/// so the `O(n²)` pair loop never re-extracts lines or re-masks trees.
+/// Per-unit artefact a pairwise comparison consumes: extracted once per
+/// unit so matrices and rows never re-extract lines or re-mask trees.
 enum PairArt {
     Lines(Vec<String>),
     Tree(SharedTree),
     Abs(u64),
 }
 
+/// Extract the comparison artefact of one unit for `metric`/`v`.
+fn pair_art(m: &Measured<'_>, metric: Metric, v: Variant) -> PairArt {
+    match metric {
+        Metric::Sloc | Metric::Lloc => PairArt::Abs(absolute(m, metric, v) as u64),
+        Metric::Source | Metric::CodeDivergence => PairArt::Lines(lines_of(m, v)),
+        Metric::TSrc | Metric::TSem | Metric::TIr => PairArt::Tree(tree_of(m, metric, v)),
+    }
+}
+
 /// Extract the comparison artefact of every unit for `metric`/`v`.
 fn pair_artifacts(metric: Metric, v: Variant, units: &[Measured<'_>]) -> Vec<PairArt> {
-    units
-        .iter()
-        .map(|m| match metric {
-            Metric::Sloc | Metric::Lloc => PairArt::Abs(absolute(m, metric, v) as u64),
-            Metric::Source | Metric::CodeDivergence => PairArt::Lines(lines_of(m, v)),
-            _ => PairArt::Tree(tree_of(m, metric, v)),
-        })
-        .collect()
+    units.iter().map(|m| pair_art(m, metric, v)).collect()
+}
+
+/// Eq. 6/7 divergence of `to` from `from`, normalised by the target:
+/// `dmax` is `|T_to|` for trees, `|lines_from| + |lines_to|` for
+/// `Source`, the target's count for SLOC/LLOC, and 10⁶ for
+/// `CodeDivergence`, whose Jaccard distance is stored at that resolution
+/// so it fits the integer form (distance/dmax ≈ the Jaccard divergence).
+fn pair_divergence(metric: Metric, from: &PairArt, to: &PairArt) -> Divergence {
+    match (from, to) {
+        (PairArt::Abs(a), PairArt::Abs(b)) => {
+            Divergence { distance: a.abs_diff(*b), dmax: (*b).max(1) }
+        }
+        (PairArt::Lines(la), PairArt::Lines(lb)) if metric == Metric::CodeDivergence => {
+            let j = svdist::jaccard_divergence(la, lb);
+            Divergence { distance: (j * 1.0e6).round() as u64, dmax: 1_000_000 }
+        }
+        (PairArt::Lines(la), PairArt::Lines(lb)) => Divergence {
+            distance: edit_distance_onp(la, lb) as u64,
+            dmax: (la.len() + lb.len()).max(1) as u64,
+        },
+        (PairArt::Tree(ta), PairArt::Tree(tb)) => {
+            let _s =
+                svtrace::span!("ted.compute", a = ta.size(), b = tb.size(), metric = metric.name());
+            let d = ted(ta, tb, CostModel::UNIT);
+            let dv = Divergence { distance: d, dmax: tb.size().max(1) as u64 };
+            obs::record_pair(dv.distance, dv.dmax);
+            dv
+        }
+        _ => unreachable!("artefact kinds are uniform per metric"),
+    }
 }
 
 /// Normalised pairwise distance between two artefacts (one matrix cell).
@@ -498,10 +528,10 @@ fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
     }
 }
 
-/// Estimated DP cost of one matrix cell, used only to order the parallel
-/// schedule (largest first).  Tree pairs cost roughly `|T1|·|T2|` — except
-/// hash-equal pairs, which the [`ted`] short-circuit answers without
-/// any DP, so they sort with the free cells.  The structural hashes are
+/// Estimated DP cost of one pair (a matrix cell or a row entry), used only
+/// to order the parallel schedule (largest first).  Tree pairs cost
+/// roughly `|T1|·|T2|` — except hash-equal pairs, which the [`ted`]
+/// short-circuit answers without any DP, so they sort with the free cells.  The structural hashes are
 /// memoised on the [`SharedTree`]s, so estimating costs no extra tree walks.
 fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
     match (a, b) {

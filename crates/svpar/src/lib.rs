@@ -6,9 +6,14 @@
 //! parallel substrate: a rayon-flavoured set of data-parallel primitives
 //! built directly on `crossbeam::thread::scope`, used by
 //!
-//! * the `svexec` interpreter's parallel intrinsics (array fills/reductions),
-//! * the `svperf` benchmark simulator's measurement kernels, and
-//! * the `bench` crate's scaling ablations.
+//! * `svdist`'s parallel matrices and `svmetrics`' divergence rows, which fan
+//!   their TED and line-LCS pairs out largest-first ([`par_tasks_lpt`]),
+//! * `svmetrics`' approximate matrix engine (lower-bound rows, threshold
+//!   solves), `silvervale`'s indexers (one unit per task) and its Codebase
+//!   DB encode/decode (one entry per task), all through [`par_tasks`],
+//! * `svperf`'s host calibration, which runs the [`kernels`] (triad, dot,
+//!   the BUDE loop, the TeaLeaf stencil), and
+//! * the `bench` crate's scaling ablation.
 //!
 //! Design notes (per the HPC guides this repo follows):
 //! * work is split into contiguous chunks — one per worker — so each thread
@@ -217,6 +222,33 @@ pub fn par_tasks<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> V
         }
     })
     .expect("worker panicked in par_tasks");
+    out.into_iter().map(|v| v.expect("task slot missing")).collect()
+}
+
+/// [`par_tasks`] with longest-processing-time-first scheduling: items are
+/// handed to the work-stealing cursor in descending `cost` order, so the
+/// most expensive tasks start first and the cheap tail backfills the
+/// stragglers (classic LPT bound: makespan ≤ 4/3 · optimal, versus
+/// unbounded for an adversarial order).
+///
+/// `cost` runs once per item on the calling thread and only shapes the
+/// schedule: results are scattered back to their items, so the output is
+/// in input order and equals `items.iter().map(f)` for any cost function.
+/// The sort is stable, so equal-cost items keep their input order and a
+/// constant estimator degrades to plain [`par_tasks`].
+pub fn par_tasks_lpt<T: Sync, R: Send>(
+    items: &[T],
+    cost: impl Fn(&T) -> u64,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_cached_key(|&i| std::cmp::Reverse(cost(&items[i])));
+    let claimed = par_tasks(&order, |&i| f(&items[i]));
+    let mut out: Vec<Option<R>> = Vec::new();
+    out.resize_with(items.len(), || None);
+    for (&i, r) in order.iter().zip(claimed) {
+        out[i] = Some(r);
+    }
     out.into_iter().map(|v| v.expect("task slot missing")).collect()
 }
 

@@ -1,12 +1,11 @@
 //! Scoring pipeline: correctness × TBMD × Φ → ranked leaderboard.
 //!
 //! Every gated candidate that built gets a TBMD against the serial
-//! baseline.  The semantic divergence is computed through one
-//! [`svmetrics::divergence_matrix`] call over the *deduplicated* artefact
-//! set — reusing each candidate's `SharedTree` memoisation and fanning the
-//! TED pairs out over the LPT scheduler exactly like the model-set
-//! matrices do — and the source divergence per candidate against the
-//! baseline.  Φ comes from the `svperf` fleet simulator for the
+//! baseline: one [`svmetrics::divergence_row`] per metric (`T_sem`,
+//! `T_src`) over the *deduplicated* candidate set, which fans the TED
+//! pairs out over the LPT scheduler like the model-set matrices and
+//! normalises each by the candidate's tree size (Eq. 7), as the served
+//! `evaluate` does.  Φ comes from the `svperf` fleet simulator for the
 //! candidate's programming model.  The rank score follows the navigation
 //! chart's convention ([`NavigationChart::ranked`]):
 //!
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 use crate::gate::{baseline_run, gate, BaselineRun, GateClass, Gated, PortError};
 use crate::gen::{generate, source_fingerprint, Candidate};
 use svcorpus::{unit, App, Model};
-use svmetrics::{divergence, divergence_matrix, Measured, Metric, Variant};
+use svmetrics::{divergence_row, Measured, Metric, Variant};
 use svperf::{phi_all, NavPoint, NavigationChart};
 
 /// One candidate after gating and scoring.
@@ -158,8 +157,8 @@ impl Leaderboard {
 /// Gate and score a pre-generated candidate population.
 ///
 /// Identical sources (the generator emits deliberate duplicates) are
-/// gated and measured once; TBMD_sem for the unique set goes through a
-/// single `divergence_matrix` call with the serial baseline at row 0.
+/// gated and measured once; TBMD_sem and TBMD_src for the unique set are
+/// two divergence rows from the serial baseline.
 pub fn score_population(
     app: App,
     seed: u64,
@@ -190,37 +189,33 @@ pub fn score_population_with(
         }
     }
 
-    // One divergence matrix over [baseline + unique built candidates]:
-    // row 0 holds every candidate's TBMD_sem against the baseline.
+    // TBMD_sem and TBMD_src of every unique built candidate: two
+    // divergence rows from the baseline, normalised by the candidate's
+    // tree size (Eq. 7) exactly as the served `evaluate` scores them.
     let base_m = Measured::new(base_unit);
-    let mut labels = vec!["baseline".to_string()];
-    let mut units = vec![Measured::new(base_unit)];
     let mut built: Vec<u64> = Vec::new();
+    let mut units: Vec<Measured<'_>> = Vec::new();
     for fp in &order {
         if let Some(u) = gated[fp].unit.as_ref() {
-            labels.push(format!("{fp:016x}"));
             units.push(Measured::new(u));
             built.push(*fp);
         }
     }
-    let m = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &units);
-    let mut sem: HashMap<u64, f64> = HashMap::new();
-    let mut src: HashMap<u64, f64> = HashMap::new();
-    for (k, fp) in built.iter().enumerate() {
-        sem.insert(*fp, m.get(0, k + 1));
-        src.insert(
-            *fp,
-            divergence(Metric::TSrc, Variant::PLAIN, &base_m, &units[k + 1]).normalized(),
-        );
-    }
+    let sem = divergence_row(Metric::TSem, Variant::PLAIN, &base_m, &units);
+    let src = divergence_row(Metric::TSrc, Variant::PLAIN, &base_m, &units);
+    let tbmd: HashMap<u64, (f64, f64)> = built
+        .iter()
+        .zip(sem.iter().zip(&src))
+        .map(|(fp, (sem, src))| (*fp, (sem.normalized(), src.normalized())))
+        .collect();
 
     let mut rows: Vec<ScoredCandidate> = cands
         .iter()
         .map(|c| {
             let fp = source_fingerprint(&c.source);
             let g = &gated[&fp];
-            let tbmd_sem = sem.get(&fp).copied();
-            let tbmd_src = src.get(&fp).copied();
+            let tbmd_sem = tbmd.get(&fp).map(|t| t.0);
+            let tbmd_src = tbmd.get(&fp).map(|t| t.1);
             let phi = phi_all(app, c.model);
             ScoredCandidate {
                 id: c.id,

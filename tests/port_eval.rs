@@ -157,9 +157,12 @@ fn evaluate_rejects_bad_populations_and_unknown_apps() {
 }
 
 /// Offline `svport::evaluate` on a fixed population: the gate-class counts
-/// and the rendered leaderboard are pinned to values recorded before the
-/// interpreter stopped cloning AST, so a change in the interpreter's
-/// semantics or step accounting cannot silently reclassify candidates.
+/// and the rendered leaderboard are pinned, so a change in the
+/// interpreter's semantics or step accounting cannot silently reclassify
+/// candidates.  The class counts date from before the interpreter stopped
+/// cloning AST; the digest was re-recorded when `tbmd_sem` moved from the
+/// matrix cell's max(|T_base|, |T_cand|) normaliser to Eq. 7's |T_cand|
+/// (same classes, same `tbmd_src`).
 #[test]
 fn offline_evaluate_gate_classes_are_pinned() {
     let board = svport::evaluate(svcorpus::App::BabelStream, 48, 5).expect("evaluate");
@@ -170,8 +173,53 @@ fn offline_evaluate_gate_classes_are_pinned() {
         (counts, digest),
         (
             [("build-fail", 1), ("runtime-fail", 4), ("wrong-answer", 14), ("correct", 29)],
-            0xe08fd0d3a100b905
+            0x43b9e6f55a4096c3
         ),
         "leaderboard drifted:\n{text}"
     );
+}
+
+/// The library scorer and the served `evaluate` agree bit for bit on both
+/// TBMD columns: each is Eq. 7's divergence from the baseline, normalised
+/// by the candidate's tree size.
+#[test]
+fn library_and_served_tbmd_are_bit_equal() {
+    let (handle, _service) = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.call("index", Json::obj([("app", Json::str("babelstream"))])).unwrap();
+    let served = client
+        .call(
+            "evaluate",
+            Json::obj([
+                ("db", Json::str("babelstream")),
+                ("app", Json::str("babelstream")),
+                ("candidates", Json::Num(60.0)),
+                ("seed", Json::Num(7.0)),
+            ]),
+        )
+        .unwrap();
+    handle.shutdown();
+    let served: std::collections::HashMap<String, (Option<f64>, Option<f64>)> = served
+        .get("rows")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|r| {
+            let label = r.get("label").and_then(Json::as_str).unwrap().to_string();
+            let tbmd = |k| r.get(k).and_then(Json::as_f64);
+            (label, (tbmd("tbmd_sem"), tbmd("tbmd_src")))
+        })
+        .collect();
+
+    let board = svport::evaluate(svcorpus::App::BabelStream, 60, 7).expect("evaluate");
+    assert_eq!(board.rows.len(), served.len());
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let mut scored = 0;
+    for r in &board.rows {
+        let (sem, src) = served[&r.label];
+        assert_eq!(bits(r.tbmd_sem), bits(sem), "{} tbmd_sem", r.label);
+        assert_eq!(bits(r.tbmd_src), bits(src), "{} tbmd_src", r.label);
+        scored += usize::from(r.tbmd_sem.is_some());
+    }
+    assert!(scored > 0, "the population has built candidates");
 }

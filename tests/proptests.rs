@@ -626,3 +626,27 @@ proptest! {
         let _ = silvervale::CodebaseDb::from_bytes(&bad);
     }
 }
+
+// ---------------------------------------------------------------------------
+// svpar: largest-first scheduling
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `par_tasks_lpt` only reorders the claims: for constant, reversed and
+    /// random cost estimates its results come back in input order, equal to
+    /// the sequential map.
+    #[test]
+    fn par_tasks_lpt_returns_input_order(costs in proptest::collection::vec(any::<u64>(), 0..48)) {
+        let items: Vec<usize> = (0..costs.len()).collect();
+        // Uneven per-item work, so the workers' claims interleave.
+        let f = |&i: &usize| (i, (0..(costs[i] % 2048)).fold(i as u64, |h, k| h.rotate_left(5) ^ k));
+        let expect: Vec<(usize, u64)> = items.iter().map(f).collect();
+        let estimators: [&dyn Fn(&usize) -> u64; 3] =
+            [&|_| 7, &|&i| i as u64, &|&i| costs[i]];
+        for est in estimators {
+            prop_assert_eq!(svpar::par_tasks_lpt(&items, est, f), expect.clone());
+        }
+    }
+}
