@@ -6,6 +6,8 @@
 //! produces it.  Run everything with `cargo bench` and find the artefacts
 //! in `target/figures/`.
 
+pub mod approx;
+
 use std::fs;
 use std::path::PathBuf;
 

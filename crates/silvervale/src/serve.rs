@@ -207,8 +207,9 @@ impl AnalysisService {
     /// Divergence of every model from `base`, cache-served where possible.
     /// Values are bit-identical to `pipeline::divergence_from`.  Cacheable
     /// rows stay on the serving thread: a warm row is one cache lookup per
-    /// pair, which a thread fan-out would only slow down.  The cheap
-    /// metrics run `svmetrics::divergence_row`, which keeps them inline.
+    /// pair, and whether a cold row gains from the svpar pool has not been
+    /// measured (DESIGN §22).  The cheap metrics run
+    /// `svmetrics::divergence_row`, which keeps them inline.
     fn cached_divergence_from(
         &self,
         db: &CodebaseDb,

@@ -1,10 +1,12 @@
-//! # svpar — a small data-parallel runtime on crossbeam scoped threads
+//! # svpar — a small data-parallel runtime on one persistent worker pool
 //!
 //! The paper's subject matter is *parallel programming models*; its
 //! evaluation workloads (BabelStream, miniBUDE, TeaLeaf, CloverLeaf) are
 //! bandwidth- and compute-bound kernels.  This crate is the repo's real
 //! parallel substrate: a rayon-flavoured set of data-parallel primitives
-//! built directly on `crossbeam::thread::scope`, used by
+//! with a scoped API (closures may borrow the caller's stack), run on one
+//! process-wide pool of workers that park between calls (DESIGN §23).  It
+//! is used by
 //!
 //! * `svdist`'s parallel matrices and `svmetrics`' divergence rows, which fan
 //!   their TED and line-LCS pairs out largest-first ([`par_tasks_lpt`]),
@@ -15,23 +17,37 @@
 //!   the BUDE loop, the TeaLeaf stencil), and
 //! * the `bench` crate's scaling ablation.
 //!
+//! Every call runs its work on the calling thread too, with up to
+//! [`num_threads`]` - 1` pool workers claiming items (or whole chunks) from
+//! a shared atomic cursor, and returns once every participant has left.
+//! Workers start on the first parallel call and live for the process, so a
+//! call costs a wake-up, not a thread spawn, and results that outlive a
+//! call are not allocated in a fresh thread's malloc arena.  A call made
+//! from a pool worker, or while another call owns the pool, runs on its
+//! calling thread alone; results land by index, so they are the same.
+//!
 //! Design notes (per the HPC guides this repo follows):
-//! * work is split into contiguous chunks — one per worker — so each thread
-//!   streams over its slice with no false sharing on the output,
-//! * reductions compute thread-local partials and combine once at the end
-//!   (no shared atomics in the hot loop),
-//! * the sequential path is taken for small inputs where thread spawn
-//!   overhead would dominate ([`PAR_THRESHOLD`]).
+//! * work is split into contiguous chunks — one per participant — so each
+//!   thread streams over its slice with no false sharing on the output,
+//! * reductions compute per-chunk partials and combine once at the end in
+//!   chunk order (no shared atomics in the hot loop, and the same result
+//!   whichever thread folded which chunk),
+//! * the sequential path is taken for small inputs where handing work to
+//!   other cores would cost more than the loop ([`PAR_THRESHOLD`]).
 
 pub mod kernels;
+mod pool;
 
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Inputs smaller than this run sequentially: spawning threads for a few
-/// thousand elements costs more than the loop itself.
+/// Inputs smaller than this run sequentially: waking workers and sharing
+/// the output's cache lines for a few thousand elements costs more than
+/// the loop itself.
 pub const PAR_THRESHOLD: usize = 4096;
 
-/// Number of worker threads used by the `par_*` functions.
+/// Number of threads that take part in a `par_*` call, the calling thread
+/// included.
 ///
 /// Defaults to the machine's available parallelism; can be overridden (e.g.
 /// by benches sweeping thread counts) via [`set_threads`].
@@ -45,7 +61,8 @@ pub fn num_threads() -> usize {
 
 static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Override the worker-thread count for subsequent `par_*` calls.
+/// Override the participant count for subsequent `par_*` calls.  Raising
+/// it grows the pool on the next call; the pool never shrinks.
 /// `0` restores the default (available parallelism).
 pub fn set_threads(n: usize) {
     CONFIGURED_THREADS.store(n, Ordering::Relaxed);
@@ -71,6 +88,21 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Run `claim(k)` once for every `k in 0..count`, each `k` taken by one
+/// participant from a shared atomic cursor: the calling thread and up to
+/// `participants - 1` pool workers.  Returns when every `k` has run.
+fn claim_all(count: usize, participants: usize, claim: impl Fn(usize) + Sync) {
+    let cursor = AtomicUsize::new(0);
+    let body = || loop {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        if k >= count {
+            break;
+        }
+        claim(k);
+    };
+    pool::run(participants.min(count).saturating_sub(1), &body);
+}
+
 /// Run `f(i)` for every `i in 0..n`, in parallel over contiguous chunks.
 ///
 /// `f` must be safe to call concurrently for distinct `i` (it only gets
@@ -84,17 +116,12 @@ pub fn par_for(n: usize, f: impl Fn(usize) + Sync) {
         return;
     }
     let ranges = split_ranges(n, threads);
-    crossbeam::thread::scope(|s| {
-        for &(lo, hi) in &ranges {
-            let f = &f;
-            s.spawn(move |_| {
-                for i in lo..hi {
-                    f(i);
-                }
-            });
+    claim_all(ranges.len(), threads, |k| {
+        let (lo, hi) = ranges[k];
+        for i in lo..hi {
+            f(i);
         }
-    })
-    .expect("worker panicked in par_for");
+    });
 }
 
 /// Process disjoint mutable chunks of `data` in parallel.  Each worker gets
@@ -106,25 +133,20 @@ pub fn par_chunks_mut<T: Send>(data: &mut [T], f: impl Fn(usize, &mut [T]) + Syn
         return;
     }
     let ranges = split_ranges(data.len(), threads);
-    crossbeam::thread::scope(|s| {
-        let mut rest = data;
-        let mut consumed = 0usize;
-        for &(lo, hi) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let f = &f;
-            let off = consumed;
-            consumed += chunk.len();
-            s.spawn(move |_| f(off, chunk));
-        }
-    })
-    .expect("worker panicked in par_chunks_mut");
+    let base = SliceCells(data.as_mut_ptr());
+    claim_all(ranges.len(), threads, |k| {
+        let (lo, hi) = ranges[k];
+        // SAFETY: the ranges are disjoint and inside `data`, each is
+        // claimed exactly once, and `data` stays mutably borrowed by this
+        // call until every participant has returned.
+        f(lo, unsafe { base.chunk(lo, hi) });
+    });
 }
 
-/// Parallel map-reduce over `0..n`: each thread folds its chunk locally
-/// starting from `identity()`, then the partials are combined with `reduce`
-/// in chunk order (deterministic for a fixed thread count when `reduce` is
-/// associative).
+/// Parallel map-reduce over `0..n`: each chunk is folded locally starting
+/// from `identity()`, then the partials are combined with `reduce` in chunk
+/// order (deterministic for a fixed thread count when `reduce` is
+/// associative, whichever thread folded which chunk).
 pub fn par_map_reduce<R: Send>(
     n: usize,
     identity: impl Fn() -> R + Sync,
@@ -140,24 +162,17 @@ pub fn par_map_reduce<R: Send>(
         return acc;
     }
     let ranges = split_ranges(n, threads);
-    let mut partials: Vec<Option<R>> = Vec::new();
-    partials.resize_with(ranges.len(), || None);
-    crossbeam::thread::scope(|s| {
-        for (slot, &(lo, hi)) in partials.iter_mut().zip(&ranges) {
-            let map = &map;
-            let reduce = &reduce;
-            let identity = &identity;
-            s.spawn(move |_| {
-                let mut acc = identity();
-                for i in lo..hi {
-                    acc = reduce(acc, map(i));
-                }
-                *slot = Some(acc);
-            });
+    let partials = Slots::new(ranges.len());
+    claim_all(ranges.len(), threads, |k| {
+        let (lo, hi) = ranges[k];
+        let mut acc = identity();
+        for i in lo..hi {
+            acc = reduce(acc, map(i));
         }
-    })
-    .expect("worker panicked in par_map_reduce");
-    partials.into_iter().map(|p| p.expect("partial missing")).fold(identity(), reduce)
+        // SAFETY: chunk k is claimed exactly once.
+        unsafe { partials.put(k, acc) };
+    });
+    partials.into_vec().into_iter().fold(identity(), reduce)
 }
 
 /// Parallel map into a fresh `Vec`, preserving order.
@@ -169,24 +184,15 @@ pub fn par_map_collect<T: Send + Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R
         return items.iter().map(&f).collect();
     }
     let ranges = split_ranges(items.len(), threads);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|s| {
-        let mut rest = &mut out[..];
-        for &(lo, hi) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let f = &f;
-            let src = &items[lo..hi];
-            s.spawn(move |_| {
-                for (slot, item) in chunk.iter_mut().zip(src) {
-                    *slot = Some(f(item));
-                }
-            });
+    let out = Slots::new(items.len());
+    claim_all(ranges.len(), threads, |k| {
+        let (lo, hi) = ranges[k];
+        for (i, item) in (lo..hi).zip(&items[lo..hi]) {
+            // SAFETY: chunk k, and so index i, is claimed exactly once.
+            unsafe { out.put(i, f(item)) };
         }
-    })
-    .expect("worker panicked in par_map_collect");
-    out.into_iter().map(|v| v.expect("slot missing")).collect()
+    });
+    out.into_vec()
 }
 
 /// Parallel map over *heavy tasks* — always parallelises regardless of item
@@ -198,31 +204,12 @@ pub fn par_tasks<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> V
     if threads <= 1 || items.len() <= 1 {
         return items.iter().map(&f).collect();
     }
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    let slots = SliceCells(out.as_mut_ptr());
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            let slots = &slots;
-            s.spawn(move |_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                // SAFETY: each index i is claimed by exactly one worker via
-                // the atomic fetch_add, so writes are disjoint; `out` lives
-                // until the scope joins, and every slot starts as None (no
-                // drop of initialised data is skipped).
-                unsafe { slots.0.add(i).write(Some(r)) };
-            });
-        }
-    })
-    .expect("worker panicked in par_tasks");
-    out.into_iter().map(|v| v.expect("task slot missing")).collect()
+    let out = Slots::new(items.len());
+    claim_all(items.len(), threads, |i| {
+        // SAFETY: index i is claimed exactly once.
+        unsafe { out.put(i, f(&items[i])) };
+    });
+    out.into_vec()
 }
 
 /// [`par_tasks`] with longest-processing-time-first scheduling: items are
@@ -252,11 +239,44 @@ pub fn par_tasks_lpt<T: Sync, R: Send>(
     out.into_iter().map(|v| v.expect("task slot missing")).collect()
 }
 
-/// Wrapper making a raw pointer shareable for the disjoint-write pattern in
-/// [`par_tasks`].
+/// Wrapper making a raw pointer shareable for the disjoint chunks of
+/// [`par_chunks_mut`].
 struct SliceCells<T>(*mut T);
 unsafe impl<T: Send> Sync for SliceCells<T> {}
-unsafe impl<T: Send> Send for SliceCells<T> {}
+
+impl<T> SliceCells<T> {
+    /// # Safety
+    /// `lo..hi` must lie inside the slice, and no other thread may access
+    /// it while the chunk is alive.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn chunk(&self, lo: usize, hi: usize) -> &mut [T] {
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(lo), hi - lo) }
+    }
+}
+
+/// One write-once result slot per index, filled in place by whichever
+/// participant claimed the index and read only after the join.
+struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
+
+// SAFETY: participants only write through `put`, each to an index no other
+// participant writes, and nothing reads a slot before `into_vec`.
+unsafe impl<R: Send> Sync for Slots<R> {}
+
+impl<R> Slots<R> {
+    fn new(n: usize) -> Self {
+        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
+    }
+
+    /// # Safety
+    /// No other thread may access slot `i` concurrently.
+    unsafe fn put(&self, i: usize, r: R) {
+        unsafe { *self.0[i].get() = Some(r) };
+    }
+
+    fn into_vec(self) -> Vec<R> {
+        self.0.into_iter().map(|c| c.into_inner().expect("result slot missing")).collect()
+    }
+}
 
 #[cfg(test)]
 mod tests {

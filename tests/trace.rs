@@ -42,6 +42,17 @@ fn traced_compare_run_round_trips_through_svjson() {
             spans.len()
         );
     }
+    // Every span ran on the calling thread or on a persistent svpar
+    // worker, so the run keeps a fixed set of trace lanes however many
+    // parallel calls it made.
+    let tids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
+    assert!(
+        tids.len() <= svpar::num_threads(),
+        "spans spread over {} thread lanes ({tids:?}); at most {} participate",
+        tids.len(),
+        svpar::num_threads()
+    );
+
     // One matrix.pair span per upper-triangle cell.
     let n = matrix.len();
     let pairs = spans.iter().filter(|s| s.name == "matrix.pair").count();
