@@ -11,7 +11,7 @@
 use crate::db::CodebaseDb;
 use crate::pipeline::{self, measured_entries};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use svcluster::{cluster_rows, Heatmap};
 use svcorpus::App;
@@ -21,7 +21,7 @@ use svperf::phi_all;
 use svport::{GateClass, Leaderboard, ScoredCandidate};
 use svserve::cached::{self, FpArtifact};
 use svserve::svjson::Json;
-use svserve::{ArtifactStore, FanoutCtx, Router, ServeError, TedCache};
+use svserve::{ArtifactStore, FanoutCtx, JobCtx, Router, ServeError, TedCache};
 
 /// Default cache budget: 64 MiB of pair entries.
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
@@ -564,86 +564,58 @@ impl AnalysisService {
 
         let baseline = self.app_baseline(app)?;
         let cands = svport::generate(app, n, seed);
+        let fps: Vec<u64> = cands.iter().map(|c| svport::source_fingerprint(&c.source)).collect();
         // One pool job per candidate, keyed by content: concurrent
         // duplicates dedup in flight, sequential ones hit the memo/cache.
-        let results: Mutex<HashMap<u64, Json>> = Mutex::new(HashMap::new());
-        let first_err: Mutex<Option<ServeError>> = Mutex::new(None);
-        let next = AtomicUsize::new(0);
-        let submitters = n.clamp(1, 32);
-        std::thread::scope(|s| {
-            for _ in 0..submitters {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cands.len() || lock_opt(&first_err).is_some() {
-                        break;
-                    }
-                    let c = &cands[i];
-                    let fp = svport::source_fingerprint(&c.source);
-                    let key = format!("evaluate.cand {} {fp:016x}", app.name());
-                    let svc = Arc::clone(self);
-                    let bases = Arc::clone(&bases);
-                    let baseline = Arc::clone(&baseline);
-                    let source = c.source.clone();
-                    let model = c.model;
-                    let r = ctx.run(key, move |_| {
-                        let out = svc.gate_memoised(app, model, fp, &source, &baseline);
-                        let (tbmd_sem, tbmd_src) = match (&out.sem, &out.src) {
-                            (Some(sem), Some(src)) => (
-                                Json::Num(
-                                    cached::divergence_cached_arts(
-                                        &svc.cache,
-                                        Metric::TSem,
-                                        Variant::PLAIN,
-                                        &bases.0,
-                                        sem,
-                                        &svc.pair_computes,
-                                    )
-                                    .normalized(),
-                                ),
-                                Json::Num(
-                                    cached::divergence_cached_arts(
-                                        &svc.cache,
-                                        Metric::TSrc,
-                                        Variant::PLAIN,
-                                        &bases.1,
-                                        src,
-                                        &svc.pair_computes,
-                                    )
-                                    .normalized(),
-                                ),
-                            ),
-                            _ => (Json::Null, Json::Null),
-                        };
-                        Ok(Json::obj([
-                            ("class", Json::str(out.class.name())),
-                            ("detail", Json::str(out.detail.clone())),
-                            ("tbmd_sem", tbmd_sem),
-                            ("tbmd_src", tbmd_src),
-                            ("phi", Json::Num(phi_all(app, model))),
-                        ]))
-                    });
-                    match r {
-                        Ok(j) => {
-                            lock_opt_map(&results).insert(fp, j);
-                        }
-                        Err(e) => {
-                            lock_opt(&first_err).get_or_insert(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = lock_opt(&first_err).take() {
-            return Err(e);
-        }
+        let results = ctx.run_all(cands.iter().zip(&fps).map(|(c, &fp)| {
+            let key = format!("evaluate.cand {} {fp:016x}", app.name());
+            let svc = Arc::clone(self);
+            let bases = Arc::clone(&bases);
+            let baseline = Arc::clone(&baseline);
+            let source = c.source.clone();
+            let model = c.model;
+            let job = move |_: &JobCtx| {
+                let out = svc.gate_memoised(app, model, fp, &source, &baseline);
+                let (tbmd_sem, tbmd_src) = match (&out.sem, &out.src) {
+                    (Some(sem), Some(src)) => (
+                        Json::Num(
+                            cached::divergence_cached_arts(
+                                &svc.cache,
+                                Metric::TSem,
+                                Variant::PLAIN,
+                                &bases.0,
+                                sem,
+                                &svc.pair_computes,
+                            )
+                            .normalized(),
+                        ),
+                        Json::Num(
+                            cached::divergence_cached_arts(
+                                &svc.cache,
+                                Metric::TSrc,
+                                Variant::PLAIN,
+                                &bases.1,
+                                src,
+                                &svc.pair_computes,
+                            )
+                            .normalized(),
+                        ),
+                    ),
+                    _ => (Json::Null, Json::Null),
+                };
+                Ok(Json::obj([
+                    ("class", Json::str(out.class.name())),
+                    ("detail", Json::str(out.detail.clone())),
+                    ("tbmd_sem", tbmd_sem),
+                    ("tbmd_src", tbmd_src),
+                    ("phi", Json::Num(phi_all(app, model))),
+                ]))
+            };
+            (key, job)
+        }))?;
 
-        let results = lock_opt_map(&results);
         let mut rows: Vec<ScoredCandidate> = Vec::with_capacity(cands.len());
-        for c in &cands {
-            let fp = svport::source_fingerprint(&c.source);
-            let r =
-                results.get(&fp).ok_or_else(|| ServeError::internal("candidate result missing"))?;
+        for ((c, fp), r) in cands.iter().zip(fps).zip(&results) {
             let class = r
                 .get("class")
                 .and_then(Json::as_str)
@@ -722,14 +694,6 @@ fn lock_cand_memo(
 fn lock_baseline_memo(
     m: &Mutex<HashMap<String, Arc<svport::BaselineRun>>>,
 ) -> MutexGuard<'_, HashMap<String, Arc<svport::BaselineRun>>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_opt(m: &Mutex<Option<ServeError>>) -> MutexGuard<'_, Option<ServeError>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_opt_map(m: &Mutex<HashMap<u64, Json>>) -> MutexGuard<'_, HashMap<u64, Json>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

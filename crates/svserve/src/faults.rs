@@ -19,7 +19,7 @@
 //! Three behaviours compose the failure model:
 //!
 //! * [`Fault::Panic`] — `panic!` at the site (exercises `catch_unwind`
-//!   isolation and the worker respawn guard),
+//!   isolation and the guard that completes a dead job's ticket),
 //! * [`Fault::Delay`] — sleep at the site (exercises deadlines and queue
 //!   pressure),
 //! * [`Fault::Fail`] — return a [`ServeError`] from the site (exercises

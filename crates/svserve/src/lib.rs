@@ -9,17 +9,17 @@
 //!   fingerprint pair + metric + variant + cost model, so *sequential*
 //!   repeats of a pair cost a hash lookup ([`cached`] is the bridge to
 //!   the `svmetrics` kernels);
-//! * [`sched`] — a worker pool with in-flight job deduplication, so
-//!   *concurrent* identical requests execute once;
+//! * [`sched`] — the server's one thread pool, with in-flight job
+//!   deduplication, so *concurrent* identical requests execute once;
 //! * [`proto`] / [`server`] / [`client`] — the from-scratch framed
 //!   JSON protocol (over `std::net`, no external dependencies) and its
 //!   two endpoints.
 //!
 //! The service carries an explicit failure model (see `DESIGN.md` §11):
-//! handler panics are isolated (`catch_unwind` + worker respawn) and
-//! answered with a `panic` error, per-request deadlines turn hangs into
-//! `deadline_exceeded`, a bounded queue sheds excess load with a
-//! retryable `overloaded`, shutdown drains gracefully, and the client
+//! handler panics are isolated (`catch_unwind`, and the pool thread
+//! lives on) and answered with a `panic` error, per-request deadlines
+//! turn hangs into `deadline_exceeded`, a bounded queue sheds excess load
+//! with a retryable `overloaded`, shutdown drains gracefully, and the client
 //! retries retryable failures with seeded exponential backoff
 //! ([`client::RetryPolicy`]).  All of it is testable deterministically
 //! through [`faults`] — seed-driven fault injection at named sites.
@@ -46,10 +46,10 @@ pub use cache::{CacheKey, CacheStats, CachedPair, TedCache};
 pub use client::{Client, RetryPolicy, Wire};
 pub use faults::{Fault, FaultPlan};
 pub use proto::{id_hex, parse_id_hex, trace_json, Request, ServeError, MAX_FRAME};
-pub use sched::{JobCtx, JobPool, PoolConfig, PoolStats};
+pub use sched::{FanoutCtx, JobCtx, JobPool, PoolConfig, PoolStats, Ticket};
 pub use server::{
-    render_slowlog, render_stats, render_top, serve, serve_with, snapshot_json, FanoutCtx,
-    FanoutHandler, Router, ServeConfig, ServeHandle,
+    render_slowlog, render_stats, render_top, serve, serve_with, snapshot_json, FanoutHandler,
+    Router, ServeConfig, ServeHandle,
 };
 pub use store::ArtifactStore;
 pub use tracewire::merged_chrome_trace;

@@ -72,8 +72,8 @@ impl ServeError {
         ServeError::new("overloaded", message)
     }
 
-    /// The handler panicked; the worker survived (or was respawned) and
-    /// the ticket was completed with this error instead of hanging.
+    /// The handler panicked; the thread survived and the ticket was
+    /// completed with this error instead of hanging.
     pub fn panicked(message: impl Into<String>) -> ServeError {
         ServeError::new("panic", message)
     }

@@ -5,13 +5,13 @@
 //! happen here, nonblocking, driven by `epoll` readiness (see
 //! [`crate::sys`]).  Each connection's bytes go through the shared
 //! [`Parser`], which picks the wire from the connection's first bytes.
-//! Request *execution* does not happen here: each complete frame
-//! becomes a job on the [`Executor`] — a small dynamic blocking pool —
-//! whose handler path is `process_request`, so deadlines, shedding,
-//! drain, tracing, and fault injection apply to both wires alike
-//! (routed methods still run on the [`crate::sched::JobPool`] beneath
-//! it; the executor thread plays the old connection thread's part, which
-//! is what lets fan-out handlers keep blocking on their sub-jobs).
+//! Request *execution* does not happen here: each complete frame is
+//! posted to the server's one thread pool ([`crate::sched::JobPool`])
+//! as a frame whose handler path is `process_request`, so deadlines,
+//! shedding, drain, tracing, and fault injection apply to both wires
+//! alike.  Routed methods run as jobs on the same pool; the frame's
+//! thread blocks on their tickets, which is what lets fan-out handlers
+//! wait on their sub-jobs.
 //!
 //! Per-connection state machine: while a request is in flight the
 //! connection's `EPOLLIN` interest is dropped, so a client gets exactly
@@ -19,7 +19,8 @@
 //! buffering stays bounded — further pipelined frames wait in the kernel
 //! socket buffer.  When the reply is posted back (completion queue +
 //! eventfd wake), already-buffered frames are parsed before interest is
-//! re-armed, so pipelining still works without extra syscalls.
+//! re-armed, so pipelining still works without extra syscalls.  Each
+//! tick closes connections stalled mid-frame for [`STALL_TIMEOUT`].
 //!
 //! Oversized frames diverge by protocol, deliberately: a JSON line can
 //! resync on the next newline (error reply, connection survives —
@@ -31,109 +32,14 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::server::{Job, Parser, ServerState, Step};
+use crate::server::{Job, Parser, ServerState, Step, STALL_TIMEOUT};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-// ------------------------------------------------------------- executor
-
-/// Idle executor threads retire after this long without a job.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(2);
-/// Upper bound on executor threads.  Requests beyond it queue; the
-/// JobPool underneath still bounds *routed* work via `max_queue`.
-const EXEC_CAP: usize = 512;
-
-struct ExecState {
-    q: VecDeque<Box<dyn FnOnce() + Send>>,
-    idle: usize,
-    threads: usize,
-}
-
-/// A dynamic pool of blocking threads for request execution.  Grows a
-/// thread whenever a job arrives and nobody is idle (up to [`EXEC_CAP`]),
-/// shrinks via idle timeout — 10k mostly-idle connections do not cost
-/// 10k threads, which is the point of the reactor.
-pub(crate) struct Executor {
-    state: Mutex<ExecState>,
-    cv: Condvar,
-    cap: usize,
-}
-
-fn exec_lock(e: &Executor) -> MutexGuard<'_, ExecState> {
-    e.state.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-impl Executor {
-    pub(crate) fn new(cap: usize) -> Arc<Executor> {
-        Arc::new(Executor {
-            state: Mutex::new(ExecState { q: VecDeque::new(), idle: 0, threads: 0 }),
-            cv: Condvar::new(),
-            cap: cap.max(1),
-        })
-    }
-
-    pub(crate) fn submit(self: &Arc<Self>, job: Box<dyn FnOnce() + Send>) {
-        let mut s = exec_lock(self);
-        s.q.push_back(job);
-        if s.idle == 0 && s.threads < self.cap {
-            s.threads += 1;
-            let exec = Arc::clone(self);
-            let spawned = std::thread::Builder::new()
-                .name("svserve-exec".into())
-                .spawn(move || exec_worker(exec));
-            // On spawn failure the job stays queued for an existing
-            // worker; if this would have been the first, the next submit
-            // retries.
-            if spawned.is_err() {
-                s.threads -= 1;
-            }
-        } else {
-            self.cv.notify_one();
-        }
-    }
-
-    #[cfg(test)]
-    fn threads(&self) -> usize {
-        exec_lock(self).threads
-    }
-}
-
-fn exec_worker(exec: Arc<Executor>) {
-    loop {
-        let job = {
-            let mut s = exec_lock(&exec);
-            loop {
-                if let Some(j) = s.q.pop_front() {
-                    break Some(j);
-                }
-                s.idle += 1;
-                let (guard, timeout) =
-                    exec.cv.wait_timeout(s, IDLE_TIMEOUT).unwrap_or_else(|p| p.into_inner());
-                s = guard;
-                s.idle -= 1;
-                if timeout.timed_out() && s.q.is_empty() {
-                    s.threads -= 1;
-                    break None;
-                }
-            }
-        };
-        match job {
-            // Jobs catch handler panics themselves; this backstop keeps
-            // the worker (and the thread count) honest regardless.
-            Some(j) => drop(catch_unwind(AssertUnwindSafe(j))),
-            None => return,
-        }
-    }
-}
-
-// -------------------------------------------------------------- reactor
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Epoll data tags: fixed ids for the waker and the listener, then one
 /// slot per connection.
@@ -141,8 +47,8 @@ const TAG_WAKER: u64 = 0;
 const TAG_LISTENER: u64 = 1;
 const FIRST_CONN: u64 = 2;
 
-/// `epoll_wait` timeout — the shutdown-flag poll cadence, matching the
-/// threaded loop's `POLL_INTERVAL`.
+/// `epoll_wait` timeout — the shutdown-flag poll and stall-sweep
+/// cadence, matching the threaded loop's `POLL_INTERVAL`.
 const WAIT_MS: i32 = 100;
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -159,6 +65,8 @@ struct Conn {
     closing: bool,
     eof: bool,
     interest: u32,
+    /// When the last bytes arrived (or the connection was accepted).
+    last_rx: Instant,
 }
 
 impl Conn {
@@ -180,12 +88,13 @@ pub(crate) struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     gen: u64,
-    exec: Arc<Executor>,
     state: Arc<ServerState>,
     completions: Arc<Mutex<Vec<Completion>>>,
     /// Jobs submitted and not yet *drained* (a posted completion counts
     /// until the reactor consumes it), so `0` means fully quiesced.
     n_inflight: Arc<AtomicUsize>,
+    /// When the next stalled-connection sweep is due.
+    next_sweep: Instant,
 }
 
 impl Reactor {
@@ -208,10 +117,10 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             gen: 0,
-            exec: Executor::new(EXEC_CAP),
             state,
             completions: Arc::new(Mutex::new(Vec::new())),
             n_inflight: Arc::new(AtomicUsize::new(0)),
+            next_sweep: Instant::now(),
         })
     }
 
@@ -230,6 +139,18 @@ impl Reactor {
                 }
             }
             self.drain_completions();
+            let now = Instant::now();
+            if now >= self.next_sweep {
+                self.next_sweep = now + Duration::from_millis(WAIT_MS as u64);
+                for idx in 0..self.conns.len() {
+                    let stalled = self.conns[idx].as_ref().is_some_and(|c| {
+                        !c.in_flight && c.parser.has_partial() && now - c.last_rx >= STALL_TIMEOUT
+                    });
+                    if stalled {
+                        self.close(idx);
+                    }
+                }
+            }
             if self.state.is_shutdown() {
                 self.begin_drain();
                 // Quiesced: no jobs out (a posted-but-undrained completion
@@ -306,6 +227,7 @@ impl Reactor {
             closing: false,
             eof: false,
             interest,
+            last_rx: Instant::now(),
         });
     }
 
@@ -340,7 +262,10 @@ impl Reactor {
                     c.eof = true;
                     break;
                 }
-                Ok(n) => c.parser.push(&chunk[..n]),
+                Ok(n) => {
+                    c.parser.push(&chunk[..n]);
+                    c.last_rx = Instant::now();
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -419,7 +344,7 @@ impl Reactor {
         let state = Arc::clone(&self.state);
         let completions = Arc::clone(&self.completions);
         let evfd = Arc::clone(&self.evfd);
-        self.exec.submit(Box::new(move || {
+        self.state.pool.post(Box::new(move || {
             // `reply` turns a handler-path panic into an error reply, so
             // the completion always posts and `n_inflight` drains.
             let reply = job.reply(&state);
@@ -531,46 +456,6 @@ mod tests {
     use crate::binproto::{self, PREFACE};
     use crate::proto::{Request, MAX_FRAME};
     use crate::svjson::Json;
-
-    #[test]
-    fn executor_runs_jobs_and_retires_idle_threads() {
-        let exec = Executor::new(4);
-        let n = Arc::new(AtomicUsize::new(0));
-        for _ in 0..16 {
-            let n = Arc::clone(&n);
-            exec.submit(Box::new(move || {
-                n.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        let t0 = std::time::Instant::now();
-        while n.load(Ordering::SeqCst) < 16 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(n.load(Ordering::SeqCst), 16);
-        assert!(exec.threads() <= 4);
-        // After the idle timeout every worker retires.
-        let t0 = std::time::Instant::now();
-        while exec.threads() > 0 && t0.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        assert_eq!(exec.threads(), 0);
-    }
-
-    #[test]
-    fn executor_survives_panicking_jobs() {
-        let exec = Executor::new(2);
-        exec.submit(Box::new(|| panic!("boom")));
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = Arc::clone(&n);
-        exec.submit(Box::new(move || {
-            n2.fetch_add(1, Ordering::SeqCst);
-        }));
-        let t0 = std::time::Instant::now();
-        while n.load(Ordering::SeqCst) < 1 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(n.load(Ordering::SeqCst), 1);
-    }
 
     fn json_parser(bytes: &[u8]) -> Parser {
         let mut p = Parser::new();

@@ -1,29 +1,30 @@
-//! Job scheduler: a persistent worker pool with in-flight deduplication
-//! and a real failure model.
+//! Job scheduler: the server's one set of threads, with in-flight
+//! deduplication and a real failure model.
 //!
-//! Connections never execute analysis work themselves — they submit jobs
-//! keyed by request content and block on the result.  Identical jobs that
-//! arrive while one is already executing attach to the in-flight slot
-//! instead of queueing a duplicate, so N clients hammering the same
+//! One grow-on-demand, retire-when-idle set of threads runs the reactor's
+//! request *frames* ([`JobPool::post`], at most [`EXEC_CAP`] at once) and
+//! routed *jobs* ([`JobPool::submit`], at most `workers` at once).  Frames
+//! block on jobs, so a thread takes a runnable job first, and threads are
+//! bounded by `EXEC_CAP + workers`: blocked frames never starve the jobs
+//! they wait on.  Identical jobs that arrive while one is queued or
+//! executing attach to its in-flight slot, so N clients hammering the same
 //! divergence matrix cost one computation (the content-addressed cache
-//! then covers *sequential* repeats).  Workers are plain threads over an
-//! `mpsc` channel.
+//! then covers *sequential* repeats).
 //!
-//! The failure model, in one invariant: **a ticket handed out by
-//! [`JobPool::run_with`] is always completed** — with the job's result,
-//! or with a structured error.  Concretely:
+//! The failure model, in one invariant: **a [`Ticket`] handed out by
+//! [`JobPool::submit`] is always completed** — with the job's result, or
+//! with a structured error.  Concretely:
 //!
 //! * a panicking job is caught (`catch_unwind`) and answered with a
-//!   `panic` error; a panic escaping the catch (infrastructure code, or
-//!   an injected `pool.worker` fault) trips a respawn guard that
-//!   completes the ticket *and* spawns a replacement worker, so the pool
-//!   never silently shrinks;
+//!   `panic` error; a panic escaping that catch (infrastructure code, or
+//!   an injected `pool.worker` fault) is caught one level up, so the
+//!   ticket completes and the thread lives on;
 //! * the queue is bounded: past [`PoolConfig::max_queue`] pending jobs,
 //!   new submissions are shed with a retryable `overloaded` error;
-//! * each job may carry a deadline: waiters give up with
-//!   `deadline_exceeded` when it passes, and a job whose deadline expired
-//!   while it sat in the queue is skipped, not executed ([`JobCtx`] lets
-//!   long handlers cooperate mid-run);
+//! * each job may carry a deadline: [`Ticket::wait`] gives up with
+//!   `deadline_exceeded` when it passes (dropping a ticket gives up too),
+//!   and a queued job that expired, or that every waiter gave up on, is
+//!   skipped ([`JobCtx`] lets long handlers cooperate mid-run);
 //! * [`JobPool::begin_drain`] switches the pool to graceful-drain mode:
 //!   in-flight jobs finish, queued jobs are shed with `shutting_down`;
 //! * every lock acquisition tolerates poisoning — one panic must never
@@ -32,22 +33,31 @@
 //! Per-job timing lands on a pool-owned `svtrace::Registry`: busy time
 //! feeds the `stats` endpoint's utilization figure, two histograms split
 //! every job's latency into **queue wait** vs **compute time**, and the
-//! failure counters (`pool.shed`, `pool.panics`, `pool.respawns`,
+//! failure counters (`pool.shed`, `pool.panics`,
 //! `pool.deadline_exceeded`, `pool.drained`) feed the `metrics` builtin.
 
 use crate::faults::FaultPlan;
 use crate::proto::ServeError;
 use crate::svjson::Json;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use svtrace::{Counter, Histogram, Registry};
 
 type JobResult = Result<Json, ServeError>;
 type JobFn = Box<dyn FnOnce(&JobCtx) -> JobResult + Send>;
+/// A request frame: it runs to completion and delivers its own reply.
+pub(crate) type Frame = Box<dyn FnOnce() + Send>;
 
-/// Lock a mutex, tolerating poisoning: a worker that panicked while
+/// Upper bound on frames executing at once; more queue.
+pub(crate) const EXEC_CAP: usize = 512;
+/// Idle threads retire after this long without work.
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Lock a mutex, tolerating poisoning: a thread that panicked while
 /// holding the lock leaves the data in a sane state for this scheduler
 /// (all critical sections are small and re-entrancy-free), and wedging
 /// every subsequent request on an unwrap would turn one panic into a
@@ -61,59 +71,34 @@ fn lock_ip<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// computing a result nobody is waiting for.
 pub struct JobCtx {
     deadline: Option<Instant>,
-    cancelled: Arc<AtomicBool>,
+    slot: Arc<JobSlot>,
 }
 
 impl JobCtx {
-    /// The job's absolute deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Time left before the deadline (`None` when there is no deadline,
-    /// zero when it already passed).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// True once the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// True once every waiter has given up on this job.
-    pub fn cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// The check long-running handlers should poll: deadline passed or
-    /// all waiters gone.
+    /// every waiter gone.
     pub fn should_stop(&self) -> bool {
-        self.cancelled() || self.expired()
+        self.slot.waiters.load(Ordering::Relaxed) == 0 || expired(self.deadline)
     }
 }
 
-/// Rendezvous for one in-flight job: the executing worker fills `result`,
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// Rendezvous for one in-flight job: the executing thread fills `result`,
 /// every attached waiter clones it.
+#[derive(Default)]
 struct JobSlot {
     result: Mutex<Option<JobResult>>,
     done: Condvar,
-    /// Waiters currently blocked on (or about to block on) this slot.
+    /// Live tickets.  Attaches happen under the pool lock, as does the
+    /// skip-if-zero check at pickup, so a late identical request either
+    /// revives a job every waiter gave up on or finds its key free.
     waiters: AtomicUsize,
-    /// Set when the last waiter gave up — cooperative cancellation.
-    cancelled: Arc<AtomicBool>,
 }
 
 impl JobSlot {
-    fn new() -> JobSlot {
-        JobSlot {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-            waiters: AtomicUsize::new(0),
-            cancelled: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
     /// Block until the slot is filled or `deadline` passes; `None` means
     /// the deadline won.
     fn wait_until(&self, deadline: Option<Instant>) -> Option<JobResult> {
@@ -145,9 +130,9 @@ impl JobSlot {
 /// Counter snapshot for the `stats` endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolStats {
-    /// Jobs handed to [`JobPool::run`].
+    /// Jobs handed to [`JobPool::submit`].
     pub submitted: u64,
-    /// Jobs that actually executed on a worker.
+    /// Jobs that actually executed.
     pub executed: u64,
     /// Jobs that attached to an identical in-flight job instead.
     pub deduped: u64,
@@ -157,16 +142,14 @@ pub struct PoolStats {
     pub drained: u64,
     /// Panics caught or absorbed (ticket completed with a `panic` error).
     pub panics: u64,
-    /// Replacement workers spawned after a worker died mid-job.
-    pub respawns: u64,
     /// Deadline misses (waiter timeouts plus expired-in-queue skips).
     pub deadline_exceeded: u64,
-    /// Jobs currently queued (submitted, not yet picked up by a worker).
+    /// Jobs currently queued (submitted, not yet picked up).
     pub queued: usize,
-    /// Worker threads in the pool.
+    /// Jobs that may execute at once.
     pub workers: usize,
-    /// Fraction of worker wall-clock spent executing jobs since the pool
-    /// started, in `[0, 1]`.
+    /// Fraction of `workers` wall-clock spent executing jobs since the
+    /// pool started, in `[0, 1]`.
     pub utilization: f64,
 }
 
@@ -174,14 +157,14 @@ pub struct PoolStats {
 /// explicit worker count.
 #[derive(Clone)]
 pub struct PoolConfig {
-    /// Worker threads (minimum 1).
+    /// Jobs that may execute at once (minimum 1).
     pub workers: usize,
     /// Maximum queued (not yet picked up) jobs before submissions are
     /// shed with `overloaded` (minimum 1).
     pub max_queue: usize,
     /// Optional fault-injection plan; sites `pool.worker` (outside the
-    /// job's `catch_unwind` — exercises the respawn guard) and
-    /// `pool.execute` (inside it — models a faulty handler).
+    /// job's `catch_unwind`) and `pool.execute` (inside it — models a
+    /// faulty handler).
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -200,19 +183,38 @@ struct Job {
     key: String,
     submitted_at: Instant,
     deadline: Option<Instant>,
-    /// Trace context captured on the submitting thread; the worker
-    /// re-installs it so the job's spans chain under the request span.
+    /// The submitting thread's trace context, re-installed around the
+    /// job so its spans chain under the request span.
     trace: Option<svtrace::ActiveTrace>,
     f: JobFn,
 }
 
+enum Work {
+    Frame(Frame),
+    Job(Job),
+}
+
+/// Everything the pool lock guards.
+#[derive(Default)]
+struct State {
+    frames: VecDeque<Frame>,
+    jobs: VecDeque<Job>,
+    /// Queued or executing jobs by key, for in-flight dedup.
+    inflight: HashMap<String, Arc<JobSlot>>,
+    frames_running: usize,
+    jobs_running: usize,
+    /// Threads not running work: parked, starting, or between two items.
+    idle: usize,
+    threads: usize,
+    /// Set by a drain: threads exit once nothing is runnable.
+    draining: bool,
+}
+
 struct Shared {
-    inflight: Mutex<HashMap<String, Arc<JobSlot>>>,
-    rx: Mutex<mpsc::Receiver<Job>>,
-    /// Live worker handles; respawned replacements are pushed here too.
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    queued: AtomicUsize,
-    draining: AtomicBool,
+    state: Mutex<State>,
+    /// Signals work and drains to idle threads, and exits to shutdown.
+    work: Condvar,
+    workers: usize,
     max_queue: usize,
     faults: Option<Arc<FaultPlan>>,
     registry: Registry,
@@ -222,42 +224,41 @@ struct Shared {
     shed: Arc<Counter>,
     drained: Arc<Counter>,
     panics: Arc<Counter>,
-    respawns: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
     busy_nanos: Arc<Counter>,
     queue_wait_us: Arc<Histogram>,
     exec_us: Arc<Histogram>,
 }
 
-/// The worker pool.  Dropping it (or calling [`JobPool::shutdown`])
-/// drains gracefully: in-flight jobs finish, queued jobs are shed, and
-/// every worker is joined.
+thread_local! {
+    /// The pool this thread belongs to: shutdown on one of a pool's own
+    /// threads must not wait for that thread.
+    static OWN_POOL: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+}
+
+/// The server's thread pool.  Dropping it (or calling
+/// [`JobPool::shutdown`]) drains gracefully: in-flight jobs finish,
+/// queued jobs are shed, and every thread exits.
 pub struct JobPool {
-    tx: Option<mpsc::Sender<Job>>,
     shared: Arc<Shared>,
-    configured_workers: usize,
     started: Instant,
 }
 
 impl JobPool {
-    /// Spawn a pool of `workers` threads (minimum 1) with the default
-    /// queue bound and no fault injection.
+    /// A pool that runs at most `workers` jobs at once (minimum 1), with
+    /// the default queue bound and no fault injection.
     pub fn new(workers: usize) -> JobPool {
         JobPool::with_config(PoolConfig { workers, ..PoolConfig::default() })
     }
 
-    /// Spawn a pool with explicit robustness knobs.
+    /// A pool with explicit robustness knobs.  Threads start on demand.
     pub fn with_config(config: PoolConfig) -> JobPool {
-        let workers = config.workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
         let registry = Registry::new();
         let bounds = svtrace::latency_bounds_us();
         let shared = Arc::new(Shared {
-            inflight: Mutex::new(HashMap::new()),
-            rx: Mutex::new(rx),
-            workers: Mutex::new(Vec::with_capacity(workers)),
-            queued: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
+            state: Mutex::default(),
+            work: Condvar::new(),
+            workers: config.workers.max(1),
             max_queue: config.max_queue.max(1),
             faults: config.faults,
             submitted: registry.counter("pool.submitted"),
@@ -266,30 +267,28 @@ impl JobPool {
             shed: registry.counter("pool.shed"),
             drained: registry.counter("pool.drained"),
             panics: registry.counter("pool.panics"),
-            respawns: registry.counter("pool.respawns"),
             deadline_exceeded: registry.counter("pool.deadline_exceeded"),
             busy_nanos: registry.counter("pool.busy_nanos"),
             queue_wait_us: registry.histogram("pool.queue_wait_us", &bounds),
             exec_us: registry.histogram("pool.exec_us", &bounds),
             registry,
         });
-        let handles: Vec<_> = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("svserve-worker-{i}"))
-                    .spawn(move || worker_loop(i, shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        lock_ip(&shared.workers).extend(handles);
-        JobPool { tx: Some(tx), shared, configured_workers: workers, started: Instant::now() }
+        JobPool { shared, started: Instant::now() }
     }
 
     /// The pool's metrics registry (counters plus the queue-wait/exec-time
     /// histograms), for the live `metrics` endpoint.
     pub fn registry(&self) -> &Registry {
         &self.shared.registry
+    }
+
+    /// Run a request frame.  Frames are never deduplicated, shed or
+    /// drained: each one delivers a reply.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(crate) fn post(&self, frame: Frame) {
+        let mut s = self.shared.lock();
+        s.frames.push_back(frame);
+        self.shared.wake(&mut s);
     }
 
     /// Execute `job` on the pool and block until its result is available.
@@ -303,142 +302,155 @@ impl JobPool {
     }
 
     /// [`JobPool::run`] with a deadline and a [`JobCtx`] the job can poll
-    /// for cooperative cancellation.  When `deadline` passes before the
-    /// job completes, this returns a `deadline_exceeded` error — the
-    /// caller is never left blocking on a job that will not finish in
-    /// time, and a job nobody waits for any more is skipped or (if the
-    /// handler cooperates) aborted.
+    /// for cooperative cancellation: [`JobPool::submit`], then
+    /// [`Ticket::wait`].
     pub fn run_with(
         &self,
         key: String,
         deadline: Option<Instant>,
         job: impl FnOnce(&JobCtx) -> JobResult + Send + 'static,
     ) -> JobResult {
-        self.shared.submitted.inc();
+        self.submit(key, deadline, job).wait()
+    }
+
+    /// Queue `job` (deduplicated by `key` as in [`JobPool::run`]) and
+    /// return at once with its [`Ticket`].  A submission the pool refuses
+    /// (queue full, or draining) gets a ticket already completed with the
+    /// error.
+    pub fn submit(
+        &self,
+        key: String,
+        deadline: Option<Instant>,
+        job: impl FnOnce(&JobCtx) -> JobResult + Send + 'static,
+    ) -> Ticket {
+        let sh = &self.shared;
+        sh.submitted.inc();
         let submitted_at = Instant::now();
-        let (slot, owner) = {
-            let mut inflight = lock_ip(&self.shared.inflight);
-            match inflight.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(JobSlot::new());
-                    inflight.insert(key.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        slot.waiters.fetch_add(1, Ordering::SeqCst);
-        if owner {
-            let backlog = self.shared.queued.fetch_add(1, Ordering::SeqCst);
-            let reject = if self.shared.draining.load(Ordering::SeqCst) {
-                Some(ServeError::new("shutting_down", "job pool is draining"))
-            } else if backlog >= self.shared.max_queue {
-                self.shared.shed.inc();
-                Some(ServeError::overloaded(format!(
-                    "queue full ({backlog} jobs queued, limit {}); retry with backoff",
-                    self.shared.max_queue
-                )))
-            } else {
-                let tx = self.tx.as_ref().expect("pool is live while a reference exists");
-                tx.send(Job {
-                    slot: Arc::clone(&slot),
-                    key: key.clone(),
-                    submitted_at,
-                    deadline,
-                    trace: svtrace::ctx::capture(),
-                    f: Box::new(job),
-                })
-                .err()
-                .map(|_| ServeError::new("shutting_down", "job pool is stopped"))
-            };
-            if let Some(e) = reject {
-                self.shared.queued.fetch_sub(1, Ordering::SeqCst);
-                // Unregister first, then complete the ticket, so waiters
-                // that already attached wake with this error instead of
-                // hanging and late arrivals start a fresh job.
-                lock_ip(&self.shared.inflight).remove(&key);
-                slot.fill(Err(e.clone()));
-                slot.waiters.fetch_sub(1, Ordering::SeqCst);
-                return Err(e);
-            }
-        } else {
-            self.shared.deduped.inc();
-        }
-        match slot.wait_until(deadline) {
-            Some(result) => {
-                slot.waiters.fetch_sub(1, Ordering::SeqCst);
-                result
+        let mut s = sh.lock();
+        let slot = match s.inflight.get(&key) {
+            Some(slot) => {
+                sh.deduped.inc();
+                Arc::clone(slot)
             }
             None => {
-                // Deadline passed while the job was queued or executing.
-                // If we were the last waiter, flag cancellation so the
-                // worker skips the job (or the handler aborts early).
-                if slot.waiters.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    slot.cancelled.store(true, Ordering::SeqCst);
+                let slot = Arc::new(JobSlot::default());
+                let backlog = s.jobs.len();
+                if s.draining {
+                    slot.fill(Err(ServeError::new("shutting_down", "job pool is draining")));
+                } else if backlog >= sh.max_queue {
+                    sh.shed.inc();
+                    slot.fill(Err(ServeError::overloaded(format!(
+                        "queue full ({backlog} jobs queued, limit {}); retry with backoff",
+                        sh.max_queue
+                    ))));
+                } else {
+                    s.inflight.insert(key.clone(), Arc::clone(&slot));
+                    let trace = svtrace::ctx::capture();
+                    let (slot, key, f) = (Arc::clone(&slot), key.clone(), Box::new(job));
+                    s.jobs.push_back(Job { slot, key, submitted_at, deadline, trace, f });
+                    sh.wake(&mut s);
                 }
-                self.shared.deadline_exceeded.inc();
-                Err(ServeError::deadline_exceeded(format!(
-                    "job '{}' did not complete within its deadline",
-                    key.split_whitespace().next().unwrap_or(&key)
-                )))
+                slot
             }
-        }
+        };
+        // Under the lock, so the job cannot be picked up (or skipped)
+        // before this ticket counts.
+        slot.waiters.fetch_add(1, Ordering::SeqCst);
+        Ticket { shared: Arc::clone(sh), slot, key, deadline }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
-        let workers = self.configured_workers;
-        let elapsed = self.started.elapsed().as_nanos() as f64 * workers as f64;
-        let busy = self.shared.busy_nanos.get() as f64;
+        let sh = &self.shared;
+        let elapsed = self.started.elapsed().as_nanos() as f64 * sh.workers as f64;
+        let busy = sh.busy_nanos.get() as f64;
         PoolStats {
-            submitted: self.shared.submitted.get(),
-            executed: self.shared.executed.get(),
-            deduped: self.shared.deduped.get(),
-            shed: self.shared.shed.get(),
-            drained: self.shared.drained.get(),
-            panics: self.shared.panics.get(),
-            respawns: self.shared.respawns.get(),
-            deadline_exceeded: self.shared.deadline_exceeded.get(),
-            queued: self.shared.queued.load(Ordering::SeqCst),
-            workers,
+            submitted: sh.submitted.get(),
+            executed: sh.executed.get(),
+            deduped: sh.deduped.get(),
+            shed: sh.shed.get(),
+            drained: sh.drained.get(),
+            panics: sh.panics.get(),
+            deadline_exceeded: sh.deadline_exceeded.get(),
+            queued: sh.lock().jobs.len(),
+            workers: sh.workers,
             utilization: if elapsed > 0.0 { (busy / elapsed).min(1.0) } else { 0.0 },
         }
     }
 
     /// True once a drain was requested.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.lock().draining
     }
 
     /// Switch to graceful-drain mode: jobs already executing finish
-    /// normally, queued jobs are shed with `shutting_down`, and new
-    /// submissions are rejected.  Does not block; pair with
-    /// [`JobPool::shutdown`] (or drop) to join the workers.
+    /// normally, queued jobs are shed with `shutting_down` now (under the
+    /// lock submissions take, so none slips in behind), new submissions
+    /// are rejected, and idle threads exit.  Does not block.
     pub fn begin_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        let mut s = self.shared.lock();
+        s.draining = true;
+        self.shared.work.notify_all();
+        for job in std::mem::take(&mut s.jobs) {
+            s.inflight.remove(&job.key);
+            self.shared.drained.inc();
+            job.slot
+                .fill(Err(ServeError::new("shutting_down", "server draining: queued job shed")));
+        }
     }
 
-    /// Drain gracefully and join all workers (including respawned ones).
+    /// Drain gracefully and wait for every thread to exit, except the
+    /// calling one if it is the pool's own (a server's last reference can
+    /// drop at the end of a frame): that one exits when its frame returns.
     pub fn shutdown(&mut self) {
         self.begin_drain();
-        self.tx.take(); // close the channel: workers exit once idle
-                        // Join outside the lock — a dying worker's respawn guard takes
-                        // the same lock to register its replacement.
-        loop {
-            let handles: Vec<_> = lock_ip(&self.shared.workers).drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
+        let own = OWN_POOL.with(Cell::get) == Arc::as_ptr(&self.shared);
+        let mut s = self.shared.lock();
+        while s.threads > usize::from(own) {
+            s = self.shared.work.wait(s).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    #[cfg(test)]
+    fn threads(&self) -> usize {
+        self.shared.lock().threads
     }
 }
 
 impl Drop for JobPool {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A claim on one submitted job's result.  Dropping it unwaited gives up
+/// on the job, as a missed deadline does: once every waiter has given
+/// up, a queued job is skipped and a running one sees
+/// [`JobCtx::should_stop`].
+#[must_use = "dropping a ticket gives up on its job"]
+pub struct Ticket {
+    shared: Arc<Shared>,
+    slot: Arc<JobSlot>,
+    key: String,
+    deadline: Option<Instant>,
+}
+
+impl Ticket {
+    /// Block until the job's result is available or the deadline passes.
+    pub fn wait(self) -> JobResult {
+        self.slot.wait_until(self.deadline).unwrap_or_else(|| {
+            self.shared.deadline_exceeded.inc();
+            Err(ServeError::deadline_exceeded(format!(
+                "job '{}' did not complete within its deadline",
+                self.key.split_whitespace().next().unwrap_or(&self.key)
+            )))
+        })
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.slot.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -451,114 +463,203 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Completes the current job's ticket and respawns a replacement worker
-/// if the surrounding scope unwinds past the job's own `catch_unwind`
-/// (infrastructure panic, or an injected `pool.worker` fault).  Clients
-/// must never hang on a worker death, and the pool must never shrink.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-    slot: Arc<JobSlot>,
-    key: String,
-    index: usize,
-    armed: bool,
-}
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        lock_ip(&self.state)
+    }
 
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if !self.armed || !std::thread::panicking() {
-            return;
+    /// Queued work a thread could start now, within both caps.
+    fn runnable(&self, s: &State) -> usize {
+        s.jobs.len().min(self.workers - s.jobs_running)
+            + s.frames.len().min(EXEC_CAP - s.frames_running)
+    }
+
+    /// After queueing work: wake an idle thread, and start one more when
+    /// runnable work outnumbers idle threads.
+    fn wake(self: &Arc<Self>, s: &mut State) {
+        if s.idle > 0 {
+            self.work.notify_one();
         }
-        self.shared.panics.inc();
-        lock_ip(&self.shared.inflight).remove(&self.key);
-        self.slot.fill(Err(ServeError::panicked(format!(
-            "worker died while processing job '{}'",
-            self.key
-        ))));
-        if self.shared.draining.load(Ordering::SeqCst) {
-            return; // the pool is going away; don't replace the worker
-        }
-        self.shared.respawns.inc();
-        let shared = Arc::clone(&self.shared);
-        let index = self.index;
-        if let Ok(h) = std::thread::Builder::new()
-            .name(format!("svserve-worker-{index}r"))
-            .spawn(move || worker_loop(index, shared))
-        {
-            lock_ip(&self.shared.workers).push(h);
+        if self.runnable(s) > s.idle && s.threads < EXEC_CAP + self.workers {
+            s.threads += 1;
+            s.idle += 1;
+            let shared = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name("svserve-pool".into())
+                .spawn(move || thread_main(shared));
+            // On spawn failure the work stays queued for the next thread
+            // that frees up; the next submission retries the spawn.
+            if spawned.is_err() {
+                s.threads -= 1;
+                s.idle -= 1;
+            }
         }
     }
-}
 
-fn worker_loop(index: usize, shared: Arc<Shared>) {
-    loop {
-        // Hold the receiver lock only while dequeuing.
-        let msg = lock_ip(&shared.rx).recv();
-        let Ok(job) = msg else { return }; // queue closed: shut down
-        shared.queued.fetch_sub(1, Ordering::SeqCst);
-        let t0 = Instant::now();
-        shared.queue_wait_us.record(t0.duration_since(job.submitted_at).as_micros() as u64);
-        let Job { slot, key, deadline, trace, f, .. } = job;
-        let mut guard = RespawnGuard {
-            shared: Arc::clone(&shared),
-            slot: Arc::clone(&slot),
-            key: key.clone(),
-            index,
-            armed: true,
-        };
-        let ctx = JobCtx { deadline, cancelled: Arc::clone(&slot.cancelled) };
-        let result = if shared.draining.load(Ordering::SeqCst) {
-            // Graceful drain: shed queued work instead of executing it.
-            shared.drained.inc();
-            Err(ServeError::new("shutting_down", "server draining: queued job shed"))
-        } else if ctx.should_stop() {
-            // The deadline passed (or every waiter left) while the job
-            // sat in the queue: skip the work, don't burn a worker on it.
-            shared.deadline_exceeded.inc();
-            Err(ServeError::deadline_exceeded("job deadline expired before a worker picked it up"))
-        } else {
-            // Infrastructure fault site — deliberately OUTSIDE the job's
-            // catch_unwind, so an injected panic kills this worker and
-            // exercises the respawn guard.
-            let infra = match &shared.faults {
-                Some(p) => p.fire("pool.worker"),
-                None => Ok(()),
-            };
-            match infra {
-                Err(e) => Err(e),
-                Ok(()) => {
-                    let faults = shared.faults.clone();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if let Some(p) = &faults {
-                            p.fire("pool.execute")?;
-                        }
-                        let _trace = svtrace::ctx::install(trace);
-                        let _s = svtrace::span!("pool.execute", key = key);
-                        f(&ctx)
-                    }));
-                    let elapsed = t0.elapsed();
-                    shared.busy_nanos.add(elapsed.as_nanos() as u64);
-                    shared.exec_us.record(elapsed.as_micros() as u64);
-                    shared.executed.inc();
-                    match outcome {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            shared.panics.inc();
-                            Err(ServeError::panicked(format!(
-                                "job '{}' panicked: {}",
-                                key.split_whitespace().next().unwrap_or(&key),
-                                panic_message(payload.as_ref())
-                            )))
-                        }
-                    }
+    /// Claim the next runnable piece of work, jobs first.  A queued job
+    /// every waiter gave up on is dropped here, under the lock attaches
+    /// take.
+    fn take(&self, s: &mut State) -> Option<Work> {
+        while s.jobs_running < self.workers {
+            let Some(job) = s.jobs.pop_front() else { break };
+            if job.slot.waiters.load(Ordering::SeqCst) == 0 {
+                s.inflight.remove(&job.key);
+                if expired(job.deadline) {
+                    self.deadline_exceeded.inc();
                 }
+                continue;
             }
-        };
+            s.jobs_running += 1;
+            s.idle -= 1;
+            return Some(Work::Job(job));
+        }
+        if s.frames_running == EXEC_CAP {
+            return None;
+        }
+        let frame = s.frames.pop_front()?;
+        s.frames_running += 1;
+        s.idle -= 1;
+        Some(Work::Frame(frame))
+    }
+
+    /// Run one job and complete its ticket.  A panic that escapes the
+    /// job's own catch (the `pool.worker` fault site, or scheduler code)
+    /// is caught here, so the ticket still completes and the thread lives
+    /// on.
+    fn complete(&self, job: Job) {
+        let (slot, key) = (Arc::clone(&job.slot), job.key.clone());
+        let result = catch_unwind(AssertUnwindSafe(|| self.execute(job))).unwrap_or_else(|_| {
+            self.panics.inc();
+            Err(ServeError::panicked(format!("worker died while processing job '{key}'")))
+        });
         // Unregister before waking waiters: requests that arrive from
         // here on start a fresh job (and will typically be answered by
         // the result cache).
-        lock_ip(&shared.inflight).remove(&key);
+        self.lock().inflight.remove(&key);
         slot.fill(result);
-        guard.armed = false;
+    }
+
+    fn execute(&self, job: Job) -> JobResult {
+        let t0 = Instant::now();
+        self.queue_wait_us.record(t0.duration_since(job.submitted_at).as_micros() as u64);
+        let Job { slot, key, deadline, trace, f, .. } = job;
+        if expired(deadline) {
+            // The deadline passed while the job sat in the queue: skip
+            // the work, don't burn a thread on it.
+            self.deadline_exceeded.inc();
+            return Err(ServeError::deadline_exceeded(
+                "job deadline expired before a worker picked it up",
+            ));
+        }
+        // Infrastructure fault site — deliberately OUTSIDE the job's
+        // catch_unwind, so an injected panic exercises the catch above.
+        if let Some(p) = &self.faults {
+            p.fire("pool.worker")?;
+        }
+        let ctx = JobCtx { deadline, slot };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(p) = &self.faults {
+                p.fire("pool.execute")?;
+            }
+            let _trace = svtrace::ctx::install(trace);
+            let _s = svtrace::span!("pool.execute", key = key);
+            f(&ctx)
+        }));
+        let elapsed = t0.elapsed();
+        self.busy_nanos.add(elapsed.as_nanos() as u64);
+        self.exec_us.record(elapsed.as_micros() as u64);
+        self.executed.inc();
+        outcome.unwrap_or_else(|payload| {
+            self.panics.inc();
+            Err(ServeError::panicked(format!(
+                "job '{}' panicked: {}",
+                key.split_whitespace().next().unwrap_or(&key),
+                panic_message(payload.as_ref())
+            )))
+        })
+    }
+}
+
+/// One pool thread: take work until none comes for [`IDLE_TIMEOUT`] or
+/// the pool stops.
+fn thread_main(shared: Arc<Shared>) {
+    OWN_POOL.with(|p| p.set(Arc::as_ptr(&shared)));
+    let mut s = shared.lock();
+    loop {
+        match shared.take(&mut s) {
+            Some(Work::Job(job)) => {
+                drop(s);
+                shared.complete(job);
+                s = shared.lock();
+                s.jobs_running -= 1;
+            }
+            Some(Work::Frame(frame)) => {
+                drop(s);
+                // Frames answer handler panics themselves; this backstop
+                // keeps the thread and the counts honest regardless.
+                let _ = catch_unwind(AssertUnwindSafe(frame));
+                s = shared.lock();
+                s.frames_running -= 1;
+            }
+            None if s.draining => break,
+            None => {
+                let (guard, timeout) =
+                    shared.work.wait_timeout(s, IDLE_TIMEOUT).unwrap_or_else(|e| e.into_inner());
+                s = guard;
+                if timeout.timed_out() && shared.runnable(&s) == 0 {
+                    break;
+                }
+                continue;
+            }
+        }
+        s.idle += 1;
+    }
+    s.idle -= 1;
+    s.threads -= 1;
+    if s.draining {
+        shared.work.notify_all();
+    }
+}
+
+/// Sub-jobs of one fan-out request outstanding at once: enough to keep
+/// every worker busy, far under the default `max_queue`.
+const FANOUT_WINDOW: usize = 32;
+
+/// Pool access for fan-out handlers, which run on the request's own
+/// thread (a handler running *as* a job that blocked on sub-jobs could
+/// deadlock the job slots).  Each sub-job inherits the server's deadline,
+/// dedup-by-key, shedding, and panic isolation.
+pub struct FanoutCtx<'a> {
+    pub(crate) pool: &'a JobPool,
+    pub(crate) deadline: Option<Duration>,
+}
+
+impl FanoutCtx<'_> {
+    /// Run one sub-job per `(key, job)` item and return the results in
+    /// item order; equal keys execute once.  Submissions come from the
+    /// calling thread, at most [`FANOUT_WINDOW`] outstanding, so the
+    /// sub-jobs' spans parent under the request span.  After an error the
+    /// outstanding sub-jobs are given up, nothing more is submitted, and
+    /// the first error in item order is returned.
+    pub fn run_all<F>(
+        &self,
+        items: impl IntoIterator<Item = (String, F)>,
+    ) -> Result<Vec<Json>, ServeError>
+    where
+        F: FnOnce(&JobCtx) -> JobResult + Send + 'static,
+    {
+        let mut items = items.into_iter();
+        let mut window = VecDeque::with_capacity(FANOUT_WINDOW);
+        let mut results = Vec::with_capacity(items.size_hint().0);
+        loop {
+            window.extend(items.by_ref().take(FANOUT_WINDOW - window.len()).map(|(key, job)| {
+                self.pool.submit(key, self.deadline.map(|d| Instant::now() + d), job)
+            }));
+            match window.pop_front() {
+                Some(ticket) => results.push(ticket.wait()?),
+                None => return Ok(results),
+            }
+        }
     }
 }
 
@@ -686,16 +787,14 @@ mod tests {
         assert!(e.message.contains("handler bug"), "{}", e.message);
         // Same worker thread keeps serving.
         assert_eq!(pool.run("after".into(), || Ok(Json::Num(1.0))).unwrap(), Json::Num(1.0));
-        let s = pool.stats();
-        assert_eq!(s.panics, 1);
-        assert_eq!(s.respawns, 0, "caught in place, no respawn needed");
+        assert_eq!(pool.stats().panics, 1);
     }
 
     /// A panic that escapes the job's catch_unwind (injected at the
-    /// `pool.worker` infrastructure site) kills the worker: the respawn
-    /// guard must complete the ticket and replace the thread.
+    /// `pool.worker` infrastructure site) must still complete the ticket,
+    /// and the thread that caught it keeps serving.
     #[test]
-    fn worker_death_completes_ticket_and_respawns() {
+    fn worker_fault_completes_ticket_and_thread_survives() {
         let plan = FaultPlan::new(42);
         plan.script("pool.worker", [Fault::Panic("worker infrastructure bug".into())]);
         let pool = JobPool::with_config(PoolConfig {
@@ -706,12 +805,10 @@ mod tests {
         let e = pool.run("victim".into(), || Ok(Json::Null)).unwrap_err();
         assert_eq!(e.code, "panic");
         assert!(e.message.contains("victim"), "{}", e.message);
-        // The single worker died — only the respawned replacement can
-        // serve this.
+        // The running slot was freed: the next job is served.
         assert_eq!(pool.run("next".into(), || Ok(Json::Num(2.0))).unwrap(), Json::Num(2.0));
-        let s = pool.stats();
-        assert_eq!(s.respawns, 1);
-        assert_eq!(s.panics, 1);
+        assert_eq!(pool.stats().panics, 1);
+        assert_eq!(pool.threads(), 1, "the thread survived; none was added");
     }
 
     fn gated_job(release: Arc<(Mutex<bool>, Condvar)>) -> impl FnOnce() -> JobResult + Send {
@@ -851,5 +948,169 @@ mod tests {
         assert_eq!(e.code, "deadline_exceeded");
         assert!(t0.elapsed() < Duration::from_millis(350), "reply beat the slow handler");
         assert_eq!(plan.fired("pool.execute"), 1);
+    }
+
+    fn counting_frame(n: &Arc<AtomicU64>) -> Frame {
+        let n = Arc::clone(n);
+        Box::new(move || {
+            n.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    #[test]
+    fn frames_run_and_idle_threads_retire() {
+        let pool = JobPool::new(1);
+        let n = Arc::new(AtomicU64::new(0));
+        for _ in 0..16 {
+            pool.post(counting_frame(&n));
+        }
+        wait_for("16 frames", || (n.load(Ordering::SeqCst) == 16).then_some(()));
+        assert!(pool.threads() <= 16);
+        // After the idle timeout every thread retires.
+        for _ in 0..(IDLE_TIMEOUT.as_millis() / 10 + 500) {
+            if pool.threads() == 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("{} threads still alive past the idle timeout", pool.threads());
+    }
+
+    #[test]
+    fn pool_thread_survives_panicking_frame() {
+        let pool = JobPool::new(1);
+        pool.post(Box::new(|| panic!("boom")));
+        let n = Arc::new(AtomicU64::new(0));
+        pool.post(counting_frame(&n));
+        wait_for("the frame after the panic", || (n.load(Ordering::SeqCst) == 1).then_some(()));
+        assert_eq!(pool.run("job".into(), || Ok(Json::Null)).unwrap(), Json::Null);
+    }
+
+    #[test]
+    fn frame_runs_while_the_only_job_slot_is_busy() {
+        let pool = JobPool::new(1);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let busy = pool.submit("busy".into(), None, move |_| gated_job(g)());
+        wait_for("job pickup", || (pool.stats().queued == 0).then_some(()));
+        let n = Arc::new(AtomicU64::new(0));
+        pool.post(counting_frame(&n));
+        wait_for("the frame", || (n.load(Ordering::SeqCst) == 1).then_some(()));
+        open_gate(&gate);
+        assert_eq!(busy.wait().unwrap(), Json::str("gated"));
+    }
+
+    #[test]
+    fn running_jobs_never_exceed_workers() {
+        let pool = JobPool::new(2);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let running = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let tickets: Vec<Ticket> = (0..8)
+            .map(|i| {
+                let (g, running, peak) =
+                    (Arc::clone(&gate), Arc::clone(&running), Arc::clone(&peak));
+                pool.submit(format!("j{i}"), None, move |_| {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let r = gated_job(g)();
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    r
+                })
+            })
+            .collect();
+        // Two jobs hold both slots at the gate; the other six stay queued.
+        wait_for("both slots busy", || {
+            (running.load(Ordering::SeqCst) == 2 && pool.stats().queued == 6).then_some(())
+        });
+        open_gate(&gate);
+        for t in tickets {
+            assert_eq!(t.wait().unwrap(), Json::str("gated"));
+        }
+        assert_eq!(peak.load(Ordering::SeqCst), 2);
+        assert_eq!(pool.stats().executed, 8);
+    }
+
+    #[test]
+    fn dropped_ticket_cancels_its_queued_job() {
+        let pool = JobPool::new(1);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let busy = pool.submit("busy".into(), None, move |_| gated_job(g)());
+        wait_for("job pickup", || (pool.stats().queued == 0).then_some(()));
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&ran);
+        drop(pool.submit("dropped".into(), None, move |_| {
+            r.fetch_add(1, Ordering::SeqCst);
+            Ok(Json::Null)
+        }));
+        open_gate(&gate);
+        assert!(busy.wait().is_ok());
+        // One slot, FIFO: this job runs after the dropped one was taken.
+        assert!(pool.run("after".into(), || Ok(Json::Null)).is_ok());
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "the abandoned job was skipped");
+        let s = pool.stats();
+        assert_eq!((s.executed, s.deadline_exceeded), (2, 0), "{s:?}");
+    }
+
+    #[test]
+    fn dropping_the_last_reference_on_a_pool_thread_returns() {
+        let pool = Arc::new(JobPool::new(1));
+        let handed_over = Arc::new(Barrier::new(2));
+        let returned = Arc::new(AtomicU64::new(0));
+        let (last, h, r) = (Arc::clone(&pool), Arc::clone(&handed_over), Arc::clone(&returned));
+        pool.post(Box::new(move || {
+            h.wait();
+            // The last reference: the pool shuts down on its own thread.
+            drop(last);
+            r.store(1, Ordering::SeqCst);
+        }));
+        drop(pool);
+        handed_over.wait();
+        wait_for("the drop to return", || (returned.load(Ordering::SeqCst) == 1).then_some(()));
+    }
+
+    fn fanout_items(
+        n: usize,
+        fail: impl Fn(usize) -> Option<Duration> + Send + Sync + 'static,
+    ) -> impl Iterator<Item = (String, impl FnOnce(&JobCtx) -> JobResult + Send + 'static)> {
+        let fail = Arc::new(fail);
+        (0..n).map(move |i| {
+            let fail = Arc::clone(&fail);
+            (format!("item {i}"), move |_: &JobCtx| match fail(i) {
+                None => Ok(Json::Num(i as f64)),
+                Some(delay) => {
+                    std::thread::sleep(delay);
+                    Err(ServeError::internal(format!("item {i} failed")))
+                }
+            })
+        })
+    }
+
+    #[test]
+    fn run_all_keeps_item_order_under_the_default_queue_bound() {
+        let pool = JobPool::new(2);
+        let ctx = FanoutCtx { pool: &pool, deadline: None };
+        let results = ctx.run_all(fanout_items(2_000, |_| None)).unwrap();
+        let want: Vec<Json> = (0..2_000).map(|i| Json::Num(i as f64)).collect();
+        assert_eq!(results, want);
+        let s = pool.stats();
+        assert_eq!((s.executed, s.shed), (2_000, 0), "{s:?}");
+    }
+
+    #[test]
+    fn run_all_returns_the_first_error_in_item_order() {
+        let pool = JobPool::new(2);
+        let ctx = FanoutCtx { pool: &pool, deadline: None };
+        // Item 3 fails after item 7 has failed, so the first error in
+        // time is item 7's.
+        let e = ctx
+            .run_all(fanout_items(40, |i| match i {
+                3 => Some(Duration::from_millis(300)),
+                7 => Some(Duration::ZERO),
+                _ => None,
+            }))
+            .unwrap_err();
+        assert_eq!(e.message, "item 3 failed");
     }
 }

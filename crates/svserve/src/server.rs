@@ -22,7 +22,7 @@ use crate::proto::{
     id_hex, parse_id_hex, parse_request, response_err, response_ok, FrameRead, LineAccum, Request,
     ServeError,
 };
-use crate::sched::{JobCtx, JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
+use crate::sched::{FanoutCtx, JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
 use crate::svjson::Json;
 use crate::tracewire;
 use std::collections::HashMap;
@@ -50,7 +50,7 @@ const BUILTIN_METHODS: [&str; 8] =
 /// with an explicit worker count; [`serve_with`] takes the full config.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worker threads in the job pool (minimum 1).
+    /// Routed jobs that may execute at once (minimum 1).
     pub workers: usize,
     /// Bound on queued jobs before submissions are shed with a retryable
     /// `overloaded` error.
@@ -88,8 +88,8 @@ impl Default for ServeConfig {
 /// A registered request handler.
 pub type Handler = Arc<dyn Fn(&Json) -> Result<Json, ServeError> + Send + Sync>;
 
-/// A registered fan-out handler: runs on the connection thread and
-/// submits its own per-item jobs through the [`FanoutCtx`].
+/// A registered fan-out handler: runs on the request's own thread and
+/// submits its per-item jobs through the [`FanoutCtx`].
 pub type FanoutHandler =
     Arc<dyn Fn(&Json, &FanoutCtx<'_>) -> Result<Json, ServeError> + Send + Sync>;
 
@@ -102,49 +102,6 @@ pub type BlobHandler = Arc<dyn Fn(&Json) -> Result<(Json, Arc<Vec<u8>>), ServeEr
 /// What dispatch hands the frame layer: the JSON result plus the
 /// out-of-band payload blob handlers produce (`None` for plain methods).
 pub(crate) type DispatchReply = Result<(Json, Option<Arc<Vec<u8>>>), ServeError>;
-
-/// Pool access for fan-out handlers.
-///
-/// Routed handlers execute *as* pool jobs, so a handler that submitted
-/// sub-jobs and blocked on them from inside the pool could deadlock once
-/// every worker sits in such a handler.  Fan-out handlers instead run
-/// inline on the connection thread and use this context to put each
-/// per-item unit of work on the pool — inheriting the server's deadline,
-/// dedup-by-key, shedding, and panic isolation for every sub-job.
-pub struct FanoutCtx<'a> {
-    pool: &'a JobPool,
-    deadline: Option<Duration>,
-    /// Trace context captured at dispatch: fan-out handlers may submit
-    /// sub-jobs from scoped threads that never inherited the connection
-    /// thread's context, so `run` re-installs it around each submission.
-    trace: Option<ActiveTrace>,
-}
-
-impl FanoutCtx<'_> {
-    /// Run one sub-job on the pool, blocking until its result.
-    ///
-    /// `key` is the sub-job's content identity: concurrent submissions
-    /// with equal keys (duplicate candidates, racing requests) execute
-    /// once and share the result.  The server's per-request deadline is
-    /// applied from the moment of submission.  The sub-job runs under the
-    /// request's trace context, so its spans parent under the request
-    /// span wherever the submitting thread came from.
-    pub fn run(
-        &self,
-        key: String,
-        job: impl FnOnce(&JobCtx) -> Result<Json, ServeError> + Send + 'static,
-    ) -> Result<Json, ServeError> {
-        let _trace = svtrace::ctx::install(self.trace.clone());
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        self.pool.run_with(key, deadline, job)
-    }
-
-    /// The configured per-request deadline (each sub-job gets this much
-    /// time from its own submission).
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-}
 
 /// Method-name → handler table plus an optional application stats source.
 #[derive(Default, Clone)]
@@ -173,7 +130,8 @@ impl Router {
     /// Register a fan-out handler under `method` (replacing any previous
     /// fan-out handler).  Unlike [`register`](Router::register)ed methods,
     /// which execute as single pool jobs, a fan-out handler runs on the
-    /// connection thread and fans out per-item sub-jobs via [`FanoutCtx`].
+    /// request's own thread and fans out per-item sub-jobs via
+    /// [`FanoutCtx::run_all`].
     /// A plain handler under the same name wins the dispatch.
     pub fn register_fanout(
         &mut self,
@@ -309,7 +267,6 @@ impl ServerState {
                     ("jobs_shed", Json::Num(p.shed as f64)),
                     ("jobs_drained", Json::Num(p.drained as f64)),
                     ("panics", Json::Num(p.panics as f64)),
-                    ("respawns", Json::Num(p.respawns as f64)),
                     ("deadline_exceeded", Json::Num(p.deadline_exceeded as f64)),
                     ("queued", Json::Num(p.queued as f64)),
                     ("utilization", Json::Num((p.utilization * 1e4).round() / 1e4)),
@@ -449,14 +406,10 @@ impl ServerState {
                         Some(handler) => return handler(params).map(|(j, b)| (j, Some(b))),
                     },
                     Some(handler) => {
-                        // Fan-out handlers run inline on this connection
+                        // Fan-out handlers run inline on this request's
                         // thread; their sub-jobs go through the pool (and
                         // its dedup/deadline/shedding) via the context.
-                        let ctx = FanoutCtx {
-                            pool: &self.pool,
-                            deadline: self.deadline,
-                            trace: svtrace::ctx::capture(),
-                        };
+                        let ctx = FanoutCtx { pool: &self.pool, deadline: self.deadline };
                         handler(params, &ctx)
                     }
                 },
@@ -523,8 +476,8 @@ impl ServeHandle {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Request shutdown, wait for the accept loop and workers to finish,
-    /// and return the final stats snapshot.
+    /// Request shutdown, wait for the connection loop to finish, and
+    /// return the final stats snapshot.
     ///
     /// The shutdown is a graceful drain: jobs already executing finish
     /// (and their clients get real replies), queued jobs are shed with
@@ -566,7 +519,11 @@ impl Drop for ServeHandle {
 #[cfg_attr(target_os = "linux", allow(dead_code))]
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Bind `addr` and serve `router` on `workers` pool threads.
+/// A connection holding part of a frame, with nothing in flight, that
+/// sends nothing for this long is closed (idle ones stay open).
+pub(crate) const STALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bind `addr` and serve `router`, at most `workers` routed jobs at once.
 ///
 /// Returns immediately; the accept loop runs on a background thread.
 /// Use `addr` `"127.0.0.1:0"` to let the OS pick a free port.
@@ -780,6 +737,15 @@ impl Parser {
         }
     }
 
+    /// True while part of a frame (or of the preface) is buffered.
+    pub(crate) fn has_partial(&self) -> bool {
+        match self {
+            Parser::Sniff(head) => !head.is_empty(),
+            Parser::Json(lines) => lines.buffered() > 0,
+            Parser::Bin(frames) => frames.buffered() > 0,
+        }
+    }
+
     pub(crate) fn step(&mut self) -> Step {
         match self {
             Parser::Sniff(_) => Step::Idle,
@@ -861,6 +827,7 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut parser = Parser::new();
     let mut chunk = [0u8; 8192];
+    let mut last_rx = Instant::now();
     while !state.is_shutdown() {
         let reply = match parser.step() {
             Step::Dispatch(job) => job.reply(&state),
@@ -874,6 +841,7 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
                 Ok(0) => return,
                 Ok(n) => {
                     parser.push(&chunk[..n]);
+                    last_rx = Instant::now();
                     continue;
                 }
                 Err(e)
@@ -884,7 +852,10 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
                             | io::ErrorKind::Interrupted
                     ) =>
                 {
-                    continue
+                    if parser.has_partial() && last_rx.elapsed() >= STALL_TIMEOUT {
+                        return;
+                    }
+                    continue;
                 }
                 Err(_) => return,
             },
@@ -1210,26 +1181,20 @@ mod tests {
     fn fanout_handler_runs_inline_and_dedups_subjobs() {
         let mut r = Router::new();
         // Fan 8 sub-jobs with only 4 distinct keys through a 1-worker
-        // pool: must not deadlock (the handler itself holds no worker),
+        // pool: must not deadlock (the handler itself holds no job slot),
         // and concurrent duplicates may collapse via in-flight dedup.
         r.register_fanout("fan", |p, ctx| {
             let n = p.get("n").and_then(Json::as_f64).unwrap_or(8.0) as usize;
-            let total = std::sync::atomic::AtomicU64::new(0);
-            std::thread::scope(|s| {
-                let total = &total;
-                for i in 0..n {
-                    let ctx: &FanoutCtx<'_> = ctx;
-                    s.spawn(move || {
-                        let r = ctx.run(format!("fan.item {}", i % 4), move |_| {
-                            Ok(Json::Num((i % 4) as f64))
-                        });
-                        if let Ok(Json::Num(v)) = r {
-                            total.fetch_add(v as u64, Ordering::Relaxed);
-                        }
-                    });
-                }
+            let items = (0..n).map(|i| {
+                (format!("fan.item {}", i % 4), move |_: &crate::JobCtx| {
+                    Ok(Json::Num((i % 4) as f64))
+                })
             });
-            Ok(Json::Num(total.load(Ordering::Relaxed) as f64))
+            let results = ctx.run_all(items)?;
+            // Results come back in item order, deduped or not.
+            let want: Vec<Json> = (0..n).map(|i| Json::Num((i % 4) as f64)).collect();
+            assert_eq!(results, want);
+            Ok(Json::Num(results.iter().filter_map(Json::as_f64).sum()))
         });
         let h = serve("127.0.0.1:0", r, 1).unwrap();
         let state = Arc::clone(&h.state);

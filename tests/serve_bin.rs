@@ -146,6 +146,32 @@ fn stalled_partial_preface_does_not_delay_other_connections() {
     handle.shutdown();
 }
 
+/// A peer that sends half the preface and then nothing is closed once it
+/// has been silent for the server's stall timeout (10 s), not held open
+/// forever.
+#[test]
+fn stalled_half_preface_is_closed_after_the_stall_timeout() {
+    let (handle, _service) = start_server();
+    let mut stalled = TcpStream::connect(handle.addr()).unwrap();
+    stalled.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let t0 = Instant::now();
+    stalled.write_all(&PREFACE[..2]).unwrap();
+    let mut buf = [0u8; 16];
+    let closed = match stalled.read(&mut buf) {
+        Ok(0) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        Ok(n) => panic!("unexpected {n} bytes from the server"),
+    };
+    let waited = t0.elapsed();
+    assert!(closed, "the server closed the stalled connection");
+    assert!(waited >= Duration::from_secs(10), "closed before the timeout: {waited:?}");
+    assert!(waited < Duration::from_secs(13), "closed late: {waited:?}");
+    // The server keeps serving.
+    let mut client = Client::connect_negotiated(handle.addr()).unwrap();
+    assert_eq!(client.call("ping", Json::Null).unwrap(), Json::str("pong"));
+    handle.shutdown();
+}
+
 #[test]
 fn nul_garbage_line_gets_the_json_parse_error_reply() {
     let (handle, _service) = start_server();
