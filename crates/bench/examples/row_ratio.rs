@@ -46,7 +46,7 @@ fn main() {
         assert_eq!(bits(&looped), reference, "the loop changed a divergence");
 
         let t = Instant::now();
-        let row = divergence_row(metric, v, base, &units);
+        let row = divergence_row(metric, v, base, &units, None);
         best[1] = best[1].min(t.elapsed().as_secs_f64() * 1e3);
         assert_eq!(bits(&row), reference, "divergence_row differs from the per-pair loop");
     }

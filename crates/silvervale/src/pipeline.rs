@@ -146,7 +146,7 @@ pub(crate) fn measured_entries<'a>(db: &'a CodebaseDb, v: Variant) -> Vec<Measur
 /// `svmetrics::divergence_matrix`.
 pub fn model_matrix(db: &CodebaseDb, metric: Metric, v: Variant) -> DistanceMatrix {
     let measured = measured_entries(db, v);
-    divergence_matrix(metric, v, &db.labels(), &measured)
+    divergence_matrix(metric, v, &db.labels(), &measured, None)
 }
 
 /// Approximate-first variant of [`model_matrix`] for large corpora: tree
@@ -185,7 +185,7 @@ pub fn divergence_from(
         .position(|e| e.label == base)
         .ok_or_else(|| Error::MissingFile(base.to_string()))?;
     let measured = measured_entries(db, v);
-    let row = divergence_row(metric, v, &measured[base_idx], &measured);
+    let row = divergence_row(metric, v, &measured[base_idx], &measured, None);
     Ok(db.entries.iter().zip(row).map(|(e, d)| (e.label.clone(), d.normalized())).collect())
 }
 

@@ -3,10 +3,11 @@
 //! [`AnalysisService`] owns a registry of in-memory codebase DBs and the
 //! content-addressed TED cache, and registers one handler per analysis
 //! verb on an `svserve` [`Router`].  The expensive requests (`compare`,
-//! `matrix`, `cluster`) route every pairwise distance through the cache,
-//! so a session like index → compare → cluster → compare computes each
-//! TED pair exactly once — and answers identically to the one-shot
-//! pipeline functions, bit for bit.
+//! `matrix`, `cluster`, `evaluate`) run `svmetrics`' own row, matrix and
+//! pair functions with the cache as their pair memo, so a session like
+//! index → compare → cluster → compare computes each TED pair exactly
+//! once — and answers identically to the one-shot pipeline functions,
+//! bit for bit.
 
 use crate::db::CodebaseDb;
 use crate::pipeline::{self, measured_entries};
@@ -16,10 +17,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use svcluster::{cluster_rows, Heatmap};
 use svcorpus::App;
 use svdist::DistanceMatrix;
-use svmetrics::{divergence_row, Measured, Metric, Variant};
+use svmetrics::{
+    divergence_matrix, divergence_row, pair_divergence, Measured, Metric, PairArt, Variant,
+};
 use svperf::phi_all;
 use svport::{GateClass, Leaderboard, ScoredCandidate};
-use svserve::cached::{self, FpArtifact};
 use svserve::svjson::Json;
 use svserve::{ArtifactStore, FanoutCtx, JobCtx, Router, ServeError, TedCache};
 
@@ -35,8 +37,8 @@ struct CandOutcome {
     class: GateClass,
     detail: String,
     /// Comparison artefacts of the built candidate (`None` on build-fail).
-    sem: Option<FpArtifact>,
-    src: Option<FpArtifact>,
+    sem: Option<PairArt>,
+    src: Option<PairArt>,
 }
 
 /// Shared state behind every handler.
@@ -47,9 +49,6 @@ pub struct AnalysisService {
     /// and is served back verbatim by the `tree` blob handler (mmap'd,
     /// zero-copy decode on cold reads).
     store: Arc<ArtifactStore>,
-    /// Pairwise distances actually computed (cache misses that ran a TED
-    /// or line edit distance) — the "no recompute" observable.
-    pair_computes: AtomicU64,
     /// Gate outcomes per candidate source fingerprint.
     cand_memo: Mutex<HashMap<u64, Arc<CandOutcome>>>,
     /// Serial baseline runs per app (the gate's comparison oracle — the
@@ -134,7 +133,6 @@ impl AnalysisService {
             dbs: Mutex::new(HashMap::new()),
             cache: TedCache::new(cache_bytes),
             store,
-            pair_computes: AtomicU64::new(0),
             cand_memo: Mutex::new(HashMap::new()),
             baseline_memo: Mutex::new(HashMap::new()),
             cand_memo_hits: AtomicU64::new(0),
@@ -161,9 +159,11 @@ impl AnalysisService {
         lock_dbs(&self.dbs).insert(name.into(), Arc::new(db));
     }
 
-    /// Total pairwise distances computed (as opposed to cache-served).
+    /// Total pairwise distances computed (as opposed to cache-served) —
+    /// the "no recompute" observable.  Every pair the service computes is
+    /// a cache miss, and every miss is computed.
     pub fn pair_computes(&self) -> u64 {
-        self.pair_computes.load(Ordering::Relaxed)
+        self.cache.stats().misses
     }
 
     fn db(&self, name: &str) -> Result<Arc<CodebaseDb>, ServeError> {
@@ -177,74 +177,10 @@ impl AnalysisService {
         self.db(&str_param(params, "db")?)
     }
 
-    /// The divergence matrix of `db`, with every cacheable pair routed
-    /// through the TED cache.  Cells are bit-identical to
-    /// `pipeline::model_matrix` (same integers, same f64 expressions).
-    fn cached_matrix(&self, db: &CodebaseDb, metric: Metric, v: Variant) -> DistanceMatrix {
-        if !cached::supports(metric) {
-            return pipeline::model_matrix(db, metric, v);
-        }
-        let measured = measured_entries(db, v);
-        let arts: Vec<FpArtifact> = measured.iter().map(|m| FpArtifact::of(m, metric, v)).collect();
-        // LPT: start the biggest DPs first; fingerprint-equal pairs cost 0.
-        DistanceMatrix::from_fn_par_lpt(
-            db.labels(),
-            |i, j| cached::pair_cost(&arts[i], &arts[j]),
-            |i, j| {
-                let pair = cached::pair_cached(
-                    &self.cache,
-                    metric,
-                    v,
-                    &arts[i],
-                    &arts[j],
-                    &self.pair_computes,
-                );
-                cached::matrix_cell(metric, &pair)
-            },
-        )
-    }
-
-    /// Divergence of every model from `base`, cache-served where possible.
-    /// Values are bit-identical to `pipeline::divergence_from`.  Cacheable
-    /// rows stay on the serving thread: a warm row is one cache lookup per
-    /// pair, and whether a cold row gains from the svpar pool has not been
-    /// measured (DESIGN §22).  The cheap metrics run
-    /// `svmetrics::divergence_row`, which keeps them inline.
-    fn cached_divergence_from(
-        &self,
-        db: &CodebaseDb,
-        metric: Metric,
-        v: Variant,
-        base: &str,
-    ) -> Result<Vec<(String, f64)>, ServeError> {
-        let measured = measured_entries(db, v);
-        let base_idx =
-            db.labels().iter().position(|l| l == base).ok_or_else(|| {
-                ServeError::not_found(format!("no unit '{base}' in the database"))
-            })?;
-        let out = if cached::supports(metric) {
-            let arts: Vec<FpArtifact> =
-                measured.iter().map(|m| FpArtifact::of(m, metric, v)).collect();
-            db.labels()
-                .iter()
-                .enumerate()
-                .map(|(i, label)| {
-                    let d = cached::divergence_cached_arts(
-                        &self.cache,
-                        metric,
-                        v,
-                        &arts[base_idx],
-                        &arts[i],
-                        &self.pair_computes,
-                    );
-                    (label.clone(), d.normalized())
-                })
-                .collect()
-        } else {
-            let row = divergence_row(metric, v, &measured[base_idx], &measured);
-            db.labels().into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect()
-        };
-        Ok(out)
+    /// The exact divergence matrix of `db`, its tree and `Source` cells
+    /// served from the TED cache.
+    fn matrix(&self, db: &CodebaseDb, metric: Metric, v: Variant) -> DistanceMatrix {
+        divergence_matrix(metric, v, &db.labels(), &measured_entries(db, v), Some(&self.cache))
     }
 
     /// Register every analysis verb plus the app-stats section on `router`.
@@ -408,23 +344,16 @@ impl AnalysisService {
             .and_then(Json::as_str)
             .map(str::to_string)
             .unwrap_or_else(|| db.labels().first().cloned().unwrap_or_default());
-        let mut divs = self.cached_divergence_from(&db, metric, v, &base)?;
-        divs.sort_by(|a, b| a.1.total_cmp(&b.1));
-        Ok(Json::obj([
-            ("metric", Json::str(metric.name())),
-            ("variant", Json::str(v.label())),
-            ("from", Json::str(base)),
-            (
-                "divergences",
-                Json::Array(
-                    divs.into_iter()
-                        .map(|(label, d)| {
-                            Json::obj([("label", Json::Str(label)), ("divergence", Json::Num(d))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]))
+        let labels = db.labels();
+        let base_idx = labels
+            .iter()
+            .position(|l| *l == base)
+            .ok_or_else(|| ServeError::not_found(format!("no unit '{base}' in the database")))?;
+        let measured = measured_entries(&db, v);
+        let row = divergence_row(metric, v, &measured[base_idx], &measured, Some(&self.cache));
+        let divs: Vec<(String, f64)> =
+            labels.into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect();
+        Ok(compare_json(metric, v, base, divs))
     }
 
     fn handle_matrix(&self, params: &Json) -> Result<Json, ServeError> {
@@ -435,8 +364,7 @@ impl AnalysisService {
             let (m, stats) = pipeline::model_matrix_approx(&db, metric, v);
             return Ok(with_approx_stats(matrix_json(metric, v, &m), &stats));
         }
-        let m = self.cached_matrix(&db, metric, v);
-        Ok(matrix_json(metric, v, &m))
+        Ok(matrix_json(metric, v, &self.matrix(&db, metric, v)))
     }
 
     fn handle_cluster(&self, params: &Json) -> Result<Json, ServeError> {
@@ -448,15 +376,9 @@ impl AnalysisService {
             let (m, s) = pipeline::model_matrix_approx(&db, metric, v);
             (m, Some(s))
         } else {
-            (self.cached_matrix(&db, metric, v), None)
+            (self.matrix(&db, metric, v), None)
         };
-        let dendro = cluster_rows(&matrix);
-        let out = Json::obj([
-            ("metric", Json::str(metric.name())),
-            ("variant", Json::str(v.label())),
-            ("dendrogram", Json::str(dendro.render())),
-            ("heatmap", Json::str(Heatmap::ordered_by(&matrix, &dendro).render())),
-        ]);
+        let out = cluster_json(metric, v, &matrix);
         Ok(match stats {
             Some(s) => with_approx_stats(out, &s),
             None => out,
@@ -513,10 +435,8 @@ impl AnalysisService {
         let (sem, src) = match g.unit.as_ref() {
             Some(u) => {
                 let m = Measured::new(u);
-                (
-                    Some(FpArtifact::of(&m, Metric::TSem, Variant::PLAIN)),
-                    Some(FpArtifact::of(&m, Metric::TSrc, Variant::PLAIN)),
-                )
+                let art = |metric| PairArt::of(&m, metric, Variant::PLAIN, Some(&self.cache));
+                (Some(art(Metric::TSem)), Some(art(Metric::TSrc)))
             }
             None => (None, None),
         };
@@ -557,10 +477,8 @@ impl AnalysisService {
             ServeError::not_found(format!("no unit '{base_label}' in the database"))
         })?;
         let base_m = Measured::of(&base_entry.artifacts);
-        let bases = Arc::new((
-            FpArtifact::of(&base_m, Metric::TSem, Variant::PLAIN),
-            FpArtifact::of(&base_m, Metric::TSrc, Variant::PLAIN),
-        ));
+        let art = |metric| PairArt::of(&base_m, metric, Variant::PLAIN, Some(&self.cache));
+        let bases = Arc::new((art(Metric::TSem), art(Metric::TSrc)));
 
         let baseline = self.app_baseline(app)?;
         let cands = svport::generate(app, n, seed);
@@ -576,31 +494,16 @@ impl AnalysisService {
             let model = c.model;
             let job = move |_: &JobCtx| {
                 let out = svc.gate_memoised(app, model, fp, &source, &baseline);
+                // TBMD from the base to the candidate (Eq. 7 normalises
+                // by the candidate's tree), pairs served from the cache.
+                let tbmd = |metric, base: &PairArt, cand: &PairArt| {
+                    let d = pair_divergence(metric, Variant::PLAIN, base, cand, Some(&svc.cache));
+                    Json::Num(d.normalized())
+                };
                 let (tbmd_sem, tbmd_src) = match (&out.sem, &out.src) {
-                    (Some(sem), Some(src)) => (
-                        Json::Num(
-                            cached::divergence_cached_arts(
-                                &svc.cache,
-                                Metric::TSem,
-                                Variant::PLAIN,
-                                &bases.0,
-                                sem,
-                                &svc.pair_computes,
-                            )
-                            .normalized(),
-                        ),
-                        Json::Num(
-                            cached::divergence_cached_arts(
-                                &svc.cache,
-                                Metric::TSrc,
-                                Variant::PLAIN,
-                                &bases.1,
-                                src,
-                                &svc.pair_computes,
-                            )
-                            .normalized(),
-                        ),
-                    ),
+                    (Some(sem), Some(src)) => {
+                        (tbmd(Metric::TSem, &bases.0, sem), tbmd(Metric::TSrc, &bases.1, src))
+                    }
                     _ => (Json::Null, Json::Null),
                 };
                 Ok(Json::obj([
@@ -697,6 +600,31 @@ fn lock_baseline_memo(
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The `compare` reply: divergences from `base`, least divergent first.
+fn compare_json(metric: Metric, v: Variant, base: String, mut divs: Vec<(String, f64)>) -> Json {
+    divs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let divs = divs
+        .into_iter()
+        .map(|(label, d)| Json::obj([("label", Json::Str(label)), ("divergence", Json::Num(d))]));
+    Json::obj([
+        ("metric", Json::str(metric.name())),
+        ("variant", Json::str(v.label())),
+        ("from", Json::str(base)),
+        ("divergences", Json::Array(divs.collect())),
+    ])
+}
+
+/// The `cluster` reply: the dendrogram of `matrix` and its ordered heatmap.
+fn cluster_json(metric: Metric, v: Variant, matrix: &DistanceMatrix) -> Json {
+    let dendro = cluster_rows(matrix);
+    Json::obj([
+        ("metric", Json::str(metric.name())),
+        ("variant", Json::str(v.label())),
+        ("dendrogram", Json::str(dendro.render())),
+        ("heatmap", Json::str(Heatmap::ordered_by(matrix, &dendro).render())),
+    ])
+}
+
 /// Serialise a matrix for the wire: numbers survive the JSON round trip
 /// exactly (shortest-roundtrip f64 formatting on both ends).
 fn matrix_json(metric: Metric, v: Variant, m: &DistanceMatrix) -> Json {
@@ -744,45 +672,109 @@ mod tests {
         svc
     }
 
+    /// Every metric under every variant the service accepts.
+    fn all_cases() -> Vec<(Metric, Variant)> {
+        let variants = [Variant::PLAIN, Variant::PP, Variant::INLINED, Variant::COVERAGE];
+        Metric::ALL.iter().flat_map(|&m| variants.map(|v| (m, v))).collect()
+    }
+
+    /// Request params naming `metric`/`v` the way clients spell them.
+    fn params(db: &str, metric: Metric, v: Variant) -> Json {
+        let name = match metric {
+            Metric::CodeDivergence => "codediv".to_string(),
+            m => m.name().to_ascii_lowercase(),
+        };
+        Json::obj([
+            ("db", Json::str(db)),
+            ("metric", Json::str(name)),
+            ("pp", Json::Bool(v.preprocessor)),
+            ("inline", Json::Bool(v.inlining)),
+            ("cov", Json::Bool(v.coverage)),
+        ])
+    }
+
+    fn with_from(p: Json, from: &str) -> Json {
+        let Json::Object(mut map) = p else { unreachable!() };
+        map.insert("from".to_string(), Json::str(from));
+        Json::Object(map)
+    }
+
+    /// The served `matrix` and `cluster` replies of `cases`, cold and then
+    /// warm, are byte-identical to the pipeline's uncached matrix.
+    fn assert_matrix_replies_match(svc: &AnalysisService, db: &str, cases: &[(Metric, Variant)]) {
+        let codebase = svc.db(db).unwrap();
+        for &(metric, v) in cases {
+            let direct = pipeline::model_matrix(&codebase, metric, v);
+            let want_matrix = matrix_json(metric, v, &direct).to_string_compact();
+            let want_cluster = cluster_json(metric, v, &direct).to_string_compact();
+            for pass in ["cold", "warm"] {
+                let p = params(db, metric, v);
+                let matrix = svc.handle_matrix(&p).unwrap().to_string_compact();
+                assert_eq!(matrix, want_matrix, "matrix {metric:?} {v:?} {pass}");
+                let cluster = svc.handle_cluster(&p).unwrap().to_string_compact();
+                assert_eq!(cluster, want_cluster, "cluster {metric:?} {v:?} {pass}");
+            }
+        }
+    }
+
+    /// The served `compare` replies of `cases`, cold and then warm, are
+    /// byte-identical to the pipeline's uncached row.
+    fn assert_compare_replies_match(svc: &AnalysisService, db: &str, cases: &[(Metric, Variant)]) {
+        let codebase = svc.db(db).unwrap();
+        for &(metric, v) in cases {
+            let direct = pipeline::divergence_from(&codebase, metric, v, "Serial").unwrap();
+            let want = compare_json(metric, v, "Serial".into(), direct).to_string_compact();
+            for pass in ["cold", "warm"] {
+                let served = svc.handle_compare(&with_from(params(db, metric, v), "Serial"));
+                assert_eq!(served.unwrap().to_string_compact(), want, "{metric:?} {v:?} {pass}");
+            }
+        }
+    }
+
     #[test]
     fn cached_matrix_identical_to_pipeline() {
         let svc = service_with(App::BabelStream);
-        let db = svc.db("babelstream").unwrap();
-        for metric in [Metric::TSem, Metric::Source, Metric::Sloc] {
-            let direct = pipeline::model_matrix(&db, metric, Variant::PLAIN);
-            let served = svc.cached_matrix(&db, metric, Variant::PLAIN);
-            assert_eq!(served, direct, "{metric:?}");
-            // And again, now fully cache-resident.
-            let warm = svc.cached_matrix(&db, metric, Variant::PLAIN);
-            assert_eq!(warm, direct, "{metric:?} warm");
-        }
+        let plain = [Metric::TSem, Metric::Source, Metric::Sloc].map(|m| (m, Variant::PLAIN));
+        assert_matrix_replies_match(&svc, "babelstream", &plain);
         // 45 unique pairs per cacheable metric, each computed exactly once.
         assert_eq!(svc.pair_computes(), 2 * 45);
+
+        // Every metric and variant, on a coverage-indexed DB.  Both SYCL
+        // ports carry the SYCL header after preprocessing (~32k-node
+        // T_src+pp trees); one of them is left out, because the TED of
+        // that one pair needs gigabytes of DP table on any path.
+        let mut db = pipeline::index_app(App::BabelStream, true).unwrap();
+        db.entries.retain(|e| e.label != svcorpus::Model::SyclAcc.name());
+        let svc = AnalysisService::new(1 << 22);
+        svc.insert_db("cov", db);
+        assert_matrix_replies_match(&svc, "cov", &all_cases());
     }
 
     #[test]
     fn cached_compare_identical_to_pipeline() {
         let svc = service_with(App::BabelStream);
-        let db = svc.db("babelstream").unwrap();
-        for metric in [Metric::TSem, Metric::TSrc, Metric::Lloc, Metric::CodeDivergence] {
-            let direct = pipeline::divergence_from(&db, metric, Variant::PLAIN, "Serial").unwrap();
-            let mut served =
-                svc.cached_divergence_from(&db, metric, Variant::PLAIN, "Serial").unwrap();
-            served.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut direct = direct;
-            direct.sort_by(|a, b| a.0.cmp(&b.0));
-            assert_eq!(served, direct, "{metric:?}");
-        }
+        let plain = [Metric::TSem, Metric::TSrc, Metric::Lloc, Metric::CodeDivergence]
+            .map(|m| (m, Variant::PLAIN));
+        assert_compare_replies_match(&svc, "babelstream", &plain);
+
+        // Every metric and variant, on a coverage-indexed DB.
+        let svc = AnalysisService::new(1 << 22);
+        svc.insert_db("cov", pipeline::index_app(App::BabelStream, true).unwrap());
+        assert_compare_replies_match(&svc, "cov", &all_cases());
+        // A warm pass recomputes nothing.
+        let computed = svc.pair_computes();
+        assert_compare_replies_match(&svc, "cov", &all_cases());
+        assert_eq!(svc.pair_computes(), computed);
     }
 
     #[test]
     fn compare_after_matrix_is_all_hits() {
         let svc = service_with(App::BabelStream);
-        let db = svc.db("babelstream").unwrap();
-        svc.cached_matrix(&db, Metric::TSem, Variant::PLAIN);
+        let p = params("babelstream", Metric::TSem, Variant::PLAIN);
+        svc.handle_matrix(&p).unwrap();
         let computed = svc.pair_computes();
         // Every from-Serial pair is a subset of the matrix pairs.
-        svc.cached_divergence_from(&db, Metric::TSem, Variant::PLAIN, "Serial").unwrap();
+        svc.handle_compare(&with_from(p, "Serial")).unwrap();
         assert_eq!(svc.pair_computes(), computed, "compare served entirely from cache");
     }
 
@@ -836,10 +828,7 @@ mod tests {
         let svc = AnalysisService::new(1 << 16);
         assert_eq!(svc.db("nope").unwrap_err().code, "not_found");
         let svc = service_with(App::MiniBude);
-        let db = svc.db("minibude").unwrap();
-        let err = svc
-            .cached_divergence_from(&db, Metric::TSem, Variant::PLAIN, "NoSuchModel")
-            .unwrap_err();
-        assert_eq!(err.code, "not_found");
+        let p = with_from(params("minibude", Metric::TSem, Variant::PLAIN), "NoSuchModel");
+        assert_eq!(svc.handle_compare(&p).unwrap_err().code, "not_found");
     }
 }

@@ -326,7 +326,8 @@ pub fn divergence(
     from: &Measured<'_>,
     to: &Measured<'_>,
 ) -> Divergence {
-    pair_divergence(metric, &pair_art(from, metric, v), &pair_art(to, metric, v))
+    let (a, b) = (PairArt::of(from, metric, v, None), PairArt::of(to, metric, v, None));
+    pair_divergence(metric, v, &a, &b, None)
 }
 
 /// Divergence of every unit in `units` from `base` — one heatmap row of
@@ -335,24 +336,33 @@ pub fn divergence(
 /// Every artefact is extracted once, on the calling thread, so a coverage
 /// variant masks the base tree (and decomposes it) once per row rather
 /// than once per pair.  Tree and `Source` pairs (one TED or O(NP) line
-/// distance each) then fan out over all cores through
-/// `svpar::par_tasks_lpt`, largest DP first; SLOC, LLOC and
-/// `CodeDivergence` pairs cost O(1)/O(n) once extracted and run inline.
+/// distance each, served from `memo` when one is given) then fan out over
+/// all cores through `svpar::par_tasks_lpt`, largest DP first; SLOC, LLOC
+/// and `CodeDivergence` pairs cost O(1)/O(n) once extracted and run inline,
+/// and so does a row whose every pair `memo` already holds: a lookup per
+/// pair costs less than waking the pool.
 pub fn divergence_row(
     metric: Metric,
     v: Variant,
     base: &Measured<'_>,
     units: &[Measured<'_>],
+    memo: Option<&dyn PairMemo>,
 ) -> Vec<Divergence> {
-    let b = pair_art(base, metric, v);
-    let arts = pair_artifacts(metric, v, units);
-    match metric {
-        Metric::TSrc | Metric::TSem | Metric::TIr | Metric::Source => {
-            svpar::par_tasks_lpt(&arts, |a| pair_cost(&b, a), |a| pair_divergence(metric, &b, a))
-        }
-        Metric::Sloc | Metric::Lloc | Metric::CodeDivergence => {
-            arts.iter().map(|a| pair_divergence(metric, &b, a)).collect()
-        }
+    let b = PairArt::of(base, metric, v, memo);
+    let arts = pair_artifacts(metric, v, units, memo);
+    let row = |a: &PairArt| pair_divergence(metric, v, &b, a, memo);
+    let held = |m: &dyn PairMemo| {
+        arts.iter().all(|a| match (b.fp(), a.fp()) {
+            (Some(fb), Some(fa)) => {
+                same_content(&b, a) || m.contains(&PairKey::new(fb, fa, metric, v))
+            }
+            _ => false,
+        })
+    };
+    if memoised(metric) && !memo.is_some_and(held) {
+        svpar::par_tasks_lpt(&arts, |a| pair_cost(&b, a), row)
+    } else {
+        arts.iter().map(row).collect()
     }
 }
 
@@ -451,24 +461,196 @@ pub fn codebase_divergence(
 
 /// Per-unit artefact a pairwise comparison consumes: extracted once per
 /// unit so matrices and rows never re-extract lines or re-mask trees.
-enum PairArt {
-    Lines(Vec<String>),
-    Tree(SharedTree),
+///
+/// Tree and line artefacts carry their content fingerprint (the memoised
+/// structural hash, or FNV-1a over the lines) when they were extracted
+/// for a [`PairMemo`]; without one they carry `None` and no line is ever
+/// hashed.
+#[derive(Debug, Clone)]
+pub enum PairArt {
     Abs(u64),
+    Lines(Vec<String>, Option<u64>),
+    Tree(SharedTree, Option<u64>),
 }
 
-/// Extract the comparison artefact of one unit for `metric`/`v`.
-fn pair_art(m: &Measured<'_>, metric: Metric, v: Variant) -> PairArt {
-    match metric {
-        Metric::Sloc | Metric::Lloc => PairArt::Abs(absolute(m, metric, v) as u64),
-        Metric::Source | Metric::CodeDivergence => PairArt::Lines(lines_of(m, v)),
-        Metric::TSrc | Metric::TSem | Metric::TIr => PairArt::Tree(tree_of(m, metric, v)),
+impl PairArt {
+    /// Extract the comparison artefact of one unit for `metric`/`v`,
+    /// fingerprinted when `memo` is given and the metric is memoised.
+    pub fn of(
+        m: &Measured<'_>,
+        metric: Metric,
+        v: Variant,
+        memo: Option<&dyn PairMemo>,
+    ) -> PairArt {
+        let keyed = memo.is_some() && memoised(metric);
+        match metric {
+            Metric::Sloc | Metric::Lloc => PairArt::Abs(absolute(m, metric, v) as u64),
+            Metric::Source | Metric::CodeDivergence => {
+                let lines = lines_of(m, v);
+                let fp = keyed.then(|| fnv1a(lines.iter().map(|l| l.as_bytes())));
+                PairArt::Lines(lines, fp)
+            }
+            Metric::TSrc | Metric::TSem | Metric::TIr => {
+                let tree = tree_of(m, metric, v);
+                let fp = keyed.then(|| tree.structural_hash());
+                PairArt::Tree(tree, fp)
+            }
+        }
+    }
+
+    /// Content fingerprint, when extracted for a memo.
+    pub fn fp(&self) -> Option<u64> {
+        match self {
+            PairArt::Abs(_) => None,
+            PairArt::Lines(_, fp) | PairArt::Tree(_, fp) => *fp,
+        }
+    }
+
+    /// Normalisation weight: the count, line count or tree size.
+    fn weight(&self) -> u64 {
+        match self {
+            PairArt::Abs(n) => *n,
+            PairArt::Lines(lines, _) => lines.len() as u64,
+            PairArt::Tree(tree, _) => tree.size() as u64,
+        }
     }
 }
 
 /// Extract the comparison artefact of every unit for `metric`/`v`.
-fn pair_artifacts(metric: Metric, v: Variant, units: &[Measured<'_>]) -> Vec<PairArt> {
-    units.iter().map(|m| pair_art(m, metric, v)).collect()
+fn pair_artifacts(
+    metric: Metric,
+    v: Variant,
+    units: &[Measured<'_>],
+    memo: Option<&dyn PairMemo>,
+) -> Vec<PairArt> {
+    units.iter().map(|m| PairArt::of(m, metric, v, memo)).collect()
+}
+
+/// Whether a metric's pairs go through a [`PairMemo`]: only those whose
+/// pair cost is super-linear (one TED or one O(NP) line distance).
+/// SLOC, LLOC and `CodeDivergence` pairs are cheaper to recompute than
+/// to fingerprint.
+fn memoised(metric: Metric) -> bool {
+    matches!(metric, Metric::Source | Metric::TSrc | Metric::TSem | Metric::TIr)
+}
+
+/// FNV-1a over byte chunks: the fingerprint of a line artefact (trees use
+/// their structural hash).
+fn fnv1a<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in chunks {
+        for &b in chunk {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // Chunk separator so ["ab","c"] and ["a","bc"] differ.
+        h ^= 0x1f;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Identity of one memoised pair distance: both fingerprints, smaller
+/// first (unit-cost TED and the line distance are symmetric, so the two
+/// orientations of a pair share one entry), plus the metric, variant and
+/// cost model that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PairKey {
+    pub fp_lo: u64,
+    pub fp_hi: u64,
+    /// The [`Metric`] discriminant.
+    pub metric: u8,
+    /// Variant bits: 1 = preprocessor, 2 = inlining, 4 = coverage.
+    pub variant: u8,
+    /// TED cost model: 0 = [`CostModel::UNIT`], the only one pairs use.
+    pub cost_model: u8,
+}
+
+impl PairKey {
+    /// The key of the pair `(fp_a, fp_b)` in either orientation.
+    pub fn new(fp_a: u64, fp_b: u64, metric: Metric, v: Variant) -> PairKey {
+        PairKey {
+            fp_lo: fp_a.min(fp_b),
+            fp_hi: fp_a.max(fp_b),
+            metric: metric as u8,
+            variant: (v.preprocessor as u8) | (v.inlining as u8) << 1 | (v.coverage as u8) << 2,
+            cost_model: 0,
+        }
+    }
+}
+
+/// What a memo keeps for one pair: the raw distance plus both artefacts'
+/// weights in fingerprint order (`weight_lo` belongs to `fp_lo`), the
+/// integers every Eq. 7 normalisation divides by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairEntry {
+    pub distance: u64,
+    pub weight_lo: u64,
+    pub weight_hi: u64,
+}
+
+/// A store of raw pair distances shared by rows, matrices and requests
+/// (the analysis service's TED cache).  [`divergence_row`],
+/// [`divergence_matrix`] and [`pair_divergence`] consult it for the
+/// memoised metrics; the values they return are bit-identical with or
+/// without one.
+pub trait PairMemo: Sync {
+    /// The entry under `key`, or `compute()`'s, which the memo keeps.
+    fn get_or_compute(&self, key: PairKey, compute: &mut dyn FnMut() -> PairEntry) -> PairEntry;
+    /// Whether an entry is held under `key`; not counted as a lookup.
+    fn contains(&self, key: &PairKey) -> bool;
+}
+
+/// Whether two fingerprinted artefacts have the same content (equal
+/// fingerprint and weight), which puts them 0 apart.
+fn same_content(a: &PairArt, b: &PairArt) -> bool {
+    a.fp().is_some() && a.fp() == b.fp() && a.weight() == b.weight()
+}
+
+/// Raw distance of a tree or line pair: one TED or one O(NP) line
+/// distance, served from `memo` when both artefacts carry fingerprints.
+/// Content-identical artefacts are 0 apart without touching the memo.
+/// A computed TED is recorded with `dmax` in the global pair metrics, so
+/// a memo hit records nothing.
+fn raw_distance(
+    metric: Metric,
+    v: Variant,
+    a: &PairArt,
+    b: &PairArt,
+    memo: Option<&dyn PairMemo>,
+    dmax: u64,
+) -> u64 {
+    let compute = || match (a, b) {
+        (PairArt::Tree(ta, _), PairArt::Tree(tb, _)) => {
+            let _s =
+                svtrace::span!("ted.compute", a = ta.size(), b = tb.size(), metric = metric.name());
+            let d = ted(ta, tb, CostModel::UNIT);
+            obs::record_pair(d, dmax);
+            d
+        }
+        (PairArt::Lines(la, _), PairArt::Lines(lb, _)) => {
+            let _s = svtrace::span!("source.edit_distance", a = la.len(), b = lb.len());
+            edit_distance_onp(la, lb) as u64
+        }
+        _ => unreachable!("artefact kinds are uniform per metric"),
+    };
+    if same_content(a, b) {
+        return 0;
+    }
+    match (memo, a.fp(), b.fp()) {
+        (Some(memo), Some(fa), Some(fb)) => {
+            let (w_lo, w_hi) =
+                if fa <= fb { (a.weight(), b.weight()) } else { (b.weight(), a.weight()) };
+            let key = PairKey::new(fa, fb, metric, v);
+            memo.get_or_compute(key, &mut || PairEntry {
+                distance: compute(),
+                weight_lo: w_lo,
+                weight_hi: w_hi,
+            })
+            .distance
+        }
+        _ => compute(),
+    }
 }
 
 /// Eq. 6/7 divergence of `to` from `from`, normalised by the target:
@@ -476,55 +658,60 @@ fn pair_artifacts(metric: Metric, v: Variant, units: &[Measured<'_>]) -> Vec<Pai
 /// `Source`, the target's count for SLOC/LLOC, and 10⁶ for
 /// `CodeDivergence`, whose Jaccard distance is stored at that resolution
 /// so it fits the integer form (distance/dmax ≈ the Jaccard divergence).
-fn pair_divergence(metric: Metric, from: &PairArt, to: &PairArt) -> Divergence {
+/// Tree and `Source` distances come from `memo` when one is given.
+pub fn pair_divergence(
+    metric: Metric,
+    v: Variant,
+    from: &PairArt,
+    to: &PairArt,
+    memo: Option<&dyn PairMemo>,
+) -> Divergence {
     match (from, to) {
         (PairArt::Abs(a), PairArt::Abs(b)) => {
             Divergence { distance: a.abs_diff(*b), dmax: (*b).max(1) }
         }
-        (PairArt::Lines(la), PairArt::Lines(lb)) if metric == Metric::CodeDivergence => {
+        (PairArt::Lines(la, _), PairArt::Lines(lb, _)) if metric == Metric::CodeDivergence => {
             let j = svdist::jaccard_divergence(la, lb);
             Divergence { distance: (j * 1.0e6).round() as u64, dmax: 1_000_000 }
         }
-        (PairArt::Lines(la), PairArt::Lines(lb)) => Divergence {
-            distance: edit_distance_onp(la, lb) as u64,
-            dmax: (la.len() + lb.len()).max(1) as u64,
-        },
-        (PairArt::Tree(ta), PairArt::Tree(tb)) => {
-            let _s =
-                svtrace::span!("ted.compute", a = ta.size(), b = tb.size(), metric = metric.name());
-            let d = ted(ta, tb, CostModel::UNIT);
-            let dv = Divergence { distance: d, dmax: tb.size().max(1) as u64 };
-            obs::record_pair(dv.distance, dv.dmax);
-            dv
+        (PairArt::Lines(..), PairArt::Lines(..)) => {
+            let dmax = (from.weight() + to.weight()).max(1);
+            Divergence { distance: raw_distance(metric, v, from, to, memo, dmax), dmax }
         }
-        _ => unreachable!("artefact kinds are uniform per metric"),
+        _ => {
+            let dmax = to.weight().max(1);
+            Divergence { distance: raw_distance(metric, v, from, to, memo, dmax), dmax }
+        }
     }
 }
 
-/// Normalised pairwise distance between two artefacts (one matrix cell).
-fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
+/// Normalised pairwise distance between two artefacts (one matrix cell):
+/// like [`pair_divergence`] but symmetric, over the larger tree or count.
+fn pair_distance(
+    metric: Metric,
+    v: Variant,
+    a: &PairArt,
+    b: &PairArt,
+    memo: Option<&dyn PairMemo>,
+) -> f64 {
     match (a, b) {
         (PairArt::Abs(a), PairArt::Abs(b)) => {
             let dmax = (*a.max(b)).max(1);
             a.abs_diff(*b) as f64 / dmax as f64
         }
-        (PairArt::Lines(a), PairArt::Lines(b)) => {
-            if metric == Metric::CodeDivergence {
-                svdist::jaccard_divergence(a.iter(), b.iter())
-            } else {
-                let d = edit_distance_onp(a, b) as f64;
-                d / (a.len() + b.len()).max(1) as f64
-            }
+        (PairArt::Lines(la, _), PairArt::Lines(lb, _)) if metric == Metric::CodeDivergence => {
+            svdist::jaccard_divergence(la.iter(), lb.iter())
         }
-        (PairArt::Tree(a), PairArt::Tree(b)) => {
+        (PairArt::Lines(..), PairArt::Lines(..)) => {
+            let dmax = (a.weight() + b.weight()).max(1);
+            raw_distance(metric, v, a, b, memo, dmax) as f64 / dmax as f64
+        }
+        _ => {
             // Each tree's decompositions were memoised on first use, so
             // the O(n²) pair loop performs O(n) decompositions in total.
-            let _s = svtrace::span!("ted.compute", a = a.size(), b = b.size());
-            let d = ted(a, b, CostModel::UNIT);
-            obs::record_pair(d, a.size().max(b.size()).max(1) as u64);
-            d as f64 / (a.size().max(b.size()).max(1)) as f64
+            let dmax = a.weight().max(b.weight()).max(1);
+            raw_distance(metric, v, a, b, memo, dmax) as f64 / dmax as f64
         }
-        _ => unreachable!("artefact kinds are uniform per metric"),
     }
 }
 
@@ -535,14 +722,14 @@ fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
 /// memoised on the [`SharedTree`]s, so estimating costs no extra tree walks.
 fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
     match (a, b) {
-        (PairArt::Tree(a), PairArt::Tree(b)) => {
+        (PairArt::Tree(a, _), PairArt::Tree(b, _)) => {
             if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
                 0
             } else {
                 (a.size() as u64).saturating_mul(b.size() as u64)
             }
         }
-        (PairArt::Lines(a), PairArt::Lines(b)) => (a.len() + b.len()) as u64,
+        (PairArt::Lines(a, _), PairArt::Lines(b, _)) => (a.len() + b.len()) as u64,
         _ => 1,
     }
 }
@@ -551,12 +738,14 @@ fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
 /// all models" the paper clusters.  Pair computation (one TED per cell for
 /// the tree metrics — the §VII scaling bottleneck) fans out over all cores
 /// via `svpar::par_tasks` in largest-DP-first (LPT) order, with per-unit
-/// artefacts extracted once up front.
+/// artefacts extracted once up front.  Tree and `Source` cells come from
+/// `memo` when one is given.
 pub fn divergence_matrix(
     metric: Metric,
     v: Variant,
     labels: &[String],
     units: &[Measured<'_>],
+    memo: Option<&dyn PairMemo>,
 ) -> DistanceMatrix {
     assert_eq!(labels.len(), units.len());
     // The kernel attr records which TED DP kernel served this build
@@ -568,17 +757,17 @@ pub fn divergence_matrix(
         metric = metric.name(),
         kernel = svdist::active_kernel_name()
     );
-    let arts = pair_artifacts(metric, v, units);
+    let arts = pair_artifacts(metric, v, units, memo);
     DistanceMatrix::from_fn_par_lpt(
         labels.to_vec(),
         |i, j| pair_cost(&arts[i], &arts[j]),
-        |i, j| pair_distance(metric, &arts[i], &arts[j]),
+        |i, j| pair_distance(metric, v, &arts[i], &arts[j], memo),
     )
 }
 
 /// Sequential reference for [`divergence_matrix`]: same artefacts, same
-/// per-pair closure, no fan-out.  Kept as the equivalence oracle for tests
-/// and the baseline of the matrix-parallelism ablation bench.
+/// per-pair closure, no fan-out and no memo.  Kept as the equivalence
+/// oracle for tests and perfbench's `reproduce` check.
 pub fn divergence_matrix_seq(
     metric: Metric,
     v: Variant,
@@ -586,8 +775,10 @@ pub fn divergence_matrix_seq(
     units: &[Measured<'_>],
 ) -> DistanceMatrix {
     assert_eq!(labels.len(), units.len());
-    let arts = pair_artifacts(metric, v, units);
-    DistanceMatrix::from_fn(labels.to_vec(), |i, j| pair_distance(metric, &arts[i], &arts[j]))
+    let arts = pair_artifacts(metric, v, units, None);
+    DistanceMatrix::from_fn(labels.to_vec(), |i, j| {
+        pair_distance(metric, v, &arts[i], &arts[j], None)
+    })
 }
 
 /// Counters the approximate-first matrix engine reports alongside its
@@ -762,7 +953,7 @@ pub fn divergence_matrix_approx(
             let trees: Vec<SharedTree> = units.iter().map(|m| tree_of(m, metric, v)).collect();
             approx_tree_matrix(labels, &trees)
         }
-        other => (divergence_matrix(other, v, labels, units), ApproxStats::default()),
+        other => (divergence_matrix(other, v, labels, units, None), ApproxStats::default()),
     }
 }
 
@@ -900,7 +1091,7 @@ mod tests {
         let measured: Vec<Measured<'_>> = units.iter().map(Measured::new).collect();
         let labels: Vec<String> =
             ["Serial", "OpenMP", "CUDA"].iter().map(|s| s.to_string()).collect();
-        let m = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured);
+        let m = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured, None);
         assert_eq!(m.len(), 3);
         for i in 0..3 {
             assert_eq!(m.get(i, i), 0.0);
@@ -928,11 +1119,61 @@ mod tests {
             let seq = divergence_matrix_seq(metric, Variant::PLAIN, &labels, &measured);
             for threads in [1usize, 2, 4, 8] {
                 svpar::set_threads(threads);
-                let par = divergence_matrix(metric, Variant::PLAIN, &labels, &measured);
+                let par = divergence_matrix(metric, Variant::PLAIN, &labels, &measured, None);
                 assert_eq!(par, seq, "{metric:?} threads={threads}");
             }
             svpar::set_threads(0);
         }
+    }
+
+    /// A memo that records every key it is asked for.
+    #[derive(Default)]
+    struct CountingMemo(std::sync::Mutex<Vec<PairKey>>);
+
+    impl PairMemo for CountingMemo {
+        fn get_or_compute(
+            &self,
+            key: PairKey,
+            compute: &mut dyn FnMut() -> PairEntry,
+        ) -> PairEntry {
+            self.0.lock().unwrap().push(key);
+            compute()
+        }
+
+        fn contains(&self, _: &PairKey) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn memo_serves_exactly_the_expensive_metrics() {
+        let units: Vec<Unit> = [Model::Serial, Model::OpenMp, Model::Cuda]
+            .iter()
+            .map(|&m| unit(App::BabelStream, m).unwrap())
+            .collect();
+        let measured: Vec<Measured<'_>> = units.iter().map(Measured::new).collect();
+        let labels: Vec<String> = (0..3).map(|i| format!("u{i}")).collect();
+        for metric in Metric::ALL {
+            let memo = CountingMemo::default();
+            let v = Variant::PLAIN;
+            let row = divergence_row(metric, v, &measured[0], &measured, Some(&memo));
+            assert_eq!(row, divergence_row(metric, v, &measured[0], &measured, None), "{metric:?}");
+            let m = divergence_matrix(metric, v, &labels, &measured, Some(&memo));
+            assert_eq!(m, divergence_matrix_seq(metric, v, &labels, &measured), "{metric:?}");
+            let asked = memo.0.lock().unwrap().len();
+            let expensive =
+                matches!(metric, Metric::TSrc | Metric::TSem | Metric::TIr | Metric::Source);
+            // The row's self pair is answered 0 without the memo: two row
+            // pairs plus three matrix pairs reach it.
+            assert_eq!(asked, if expensive { 5 } else { 0 }, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn fnv_separates_chunk_boundaries() {
+        assert_ne!(fnv1a([b"ab".as_slice(), b"c"]), fnv1a([b"a".as_slice(), b"bc"]));
+        assert_eq!(fnv1a([b"ab".as_slice()]), fnv1a([b"ab".as_slice()]));
+        assert_ne!(fnv1a([]), fnv1a([b"".as_slice()]));
     }
 
     #[test]
@@ -945,7 +1186,7 @@ mod tests {
         let mut measured: Vec<Measured<'_>> = units.iter().map(Measured::new).collect();
         measured.extend(units.iter().map(Measured::new));
         let labels: Vec<String> = (0..measured.len()).map(|i| format!("u{i}")).collect();
-        let exact = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured);
+        let exact = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured, None);
         let (approx, stats) =
             divergence_matrix_approx(Metric::TSem, Variant::PLAIN, &labels, &measured);
         let n = labels.len();
@@ -976,7 +1217,10 @@ mod tests {
         // Non-tree metrics fall back to the exact matrix.
         let (fallback, fstats) =
             divergence_matrix_approx(Metric::Sloc, Variant::PLAIN, &labels, &measured);
-        assert_eq!(fallback, divergence_matrix(Metric::Sloc, Variant::PLAIN, &labels, &measured));
+        assert_eq!(
+            fallback,
+            divergence_matrix(Metric::Sloc, Variant::PLAIN, &labels, &measured, None)
+        );
         assert_eq!(fstats, ApproxStats::default());
     }
 

@@ -201,8 +201,8 @@ pub fn score_population_with(
             built.push(*fp);
         }
     }
-    let sem = divergence_row(Metric::TSem, Variant::PLAIN, &base_m, &units);
-    let src = divergence_row(Metric::TSrc, Variant::PLAIN, &base_m, &units);
+    let sem = divergence_row(Metric::TSem, Variant::PLAIN, &base_m, &units, None);
+    let src = divergence_row(Metric::TSrc, Variant::PLAIN, &base_m, &units, None);
     let tbmd: HashMap<u64, (f64, f64)> = built
         .iter()
         .zip(sem.iter().zip(&src))

@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
+use svmetrics::{PairEntry, PairKey, PairMemo};
 use svtrace::{Counter, Gauge, Registry};
 
 /// Lock the cache tolerating poisoning: a handler panic while holding the
@@ -27,56 +28,12 @@ fn lock_ip<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Content address of one pairwise computation.
-///
-/// `fp_lo <= fp_hi` always holds (see [`CacheKey::pair`]): the unit cost
-/// model makes TED symmetric, so both orientations of a pair share one
-/// entry, with [`CachedPair`] weights stored in fingerprint order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Smaller fingerprint of the pair.
-    pub fp_lo: u64,
-    /// Larger fingerprint of the pair.
-    pub fp_hi: u64,
-    /// Discriminant of the metric that was computed.
-    pub metric: u8,
-    /// Variant bits: 1 = preprocessor, 2 = inlining, 4 = coverage.
-    pub variant: u8,
-    /// TED cost model discriminant (0 = unit costs).
-    pub cost_model: u8,
-}
-
-impl CacheKey {
-    /// Canonicalise a fingerprint pair into a key (orientation-free).
-    pub fn pair(fp_a: u64, fp_b: u64, metric: u8, variant: u8, cost_model: u8) -> CacheKey {
-        let (fp_lo, fp_hi) = if fp_a <= fp_b { (fp_a, fp_b) } else { (fp_b, fp_a) };
-        CacheKey { fp_lo, fp_hi, metric, variant, cost_model }
-    }
-}
-
-/// A cached pairwise result: the raw distance plus both artefacts'
-/// weights (tree sizes or line counts), in `fp_lo`/`fp_hi` order.
-///
-/// Storing the un-normalised triple lets every consumer re-derive its own
-/// form bit-identically: `compare` divides by the target's weight (Eq. 7's
-/// `dmax`), matrix cells divide by the pair maximum (or sum, for the
-/// source metric) — all from the same integers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedPair {
-    /// Raw distance (TED or line edit distance).
-    pub distance: u64,
-    /// Weight of the `fp_lo` artefact.
-    pub weight_lo: u64,
-    /// Weight of the `fp_hi` artefact.
-    pub weight_hi: u64,
-}
-
 /// Approximate resident bytes per entry: key + value + the `HashMap` and
 /// recency-index bookkeeping around them.  A fixed estimate is fine — all
 /// entries have the same shape.
-pub const ENTRY_BYTES: usize = std::mem::size_of::<CacheKey>()
-    + std::mem::size_of::<CachedPair>()
-    + 2 * std::mem::size_of::<(u64, CacheKey)>()
+pub const ENTRY_BYTES: usize = std::mem::size_of::<PairKey>()
+    + std::mem::size_of::<PairEntry>()
+    + 2 * std::mem::size_of::<(u64, PairKey)>()
     + 48;
 
 /// Counter snapshot for the `stats` endpoint.
@@ -92,9 +49,9 @@ pub struct CacheStats {
 }
 
 struct Inner {
-    map: HashMap<CacheKey, (CachedPair, u64)>,
+    map: HashMap<PairKey, (PairEntry, u64)>,
     /// Last-access tick → key; the smallest tick is the LRU entry.
-    recency: BTreeMap<u64, CacheKey>,
+    recency: BTreeMap<u64, PairKey>,
     tick: u64,
 }
 
@@ -152,7 +109,7 @@ impl TedCache {
     }
 
     /// Look up a pair, counting a hit or miss and refreshing recency.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedPair> {
+    pub fn get(&self, key: &PairKey) -> Option<PairEntry> {
         let mut inner = lock_ip(&self.inner);
         let inner = &mut *inner;
         match inner.map.get_mut(key) {
@@ -173,7 +130,7 @@ impl TedCache {
     }
 
     /// Insert a pair, evicting least-recently-used entries past the budget.
-    pub fn put(&self, key: CacheKey, val: CachedPair) {
+    pub fn put(&self, key: PairKey, val: PairEntry) {
         let cap = self.capacity();
         let mut inner = lock_ip(&self.inner);
         inner.tick += 1;
@@ -198,21 +155,6 @@ impl TedCache {
         self.bytes_gauge.set((inner.map.len() * ENTRY_BYTES) as f64);
     }
 
-    /// Look up `key`, computing and inserting on a miss.
-    ///
-    /// Note the computation runs outside the cache lock — identical
-    /// concurrent misses may both compute (benign: same value).  The job
-    /// scheduler's in-flight dedup is what prevents duplicated *request*
-    /// work; this keeps the cache deadlock-free under reentrant use.
-    pub fn get_or_compute(&self, key: CacheKey, f: impl FnOnce() -> CachedPair) -> CachedPair {
-        if let Some(v) = self.get(&key) {
-            return v;
-        }
-        let v = f();
-        self.put(key, v);
-        v
-    }
-
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = lock_ip(&self.inner);
@@ -228,40 +170,71 @@ impl TedCache {
     }
 }
 
-/// FNV-1a over an iterator of byte chunks — the fingerprint for artefacts
-/// that are not trees (normalised source lines).  Trees use
-/// `svtree::Tree::structural_hash` instead.
-pub fn fnv1a<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The memo `svmetrics` rows and matrices consult.  It is the cache's
+/// only production path, so `cache.misses` counts the pair distances the
+/// service actually computed.
+impl PairMemo for TedCache {
+    /// Note the computation runs outside the cache lock — identical
+    /// concurrent misses may both compute (benign: same value).  The job
+    /// scheduler's in-flight dedup is what prevents duplicated *request*
+    /// work; this keeps the cache deadlock-free under reentrant use.
+    fn get_or_compute(&self, key: PairKey, compute: &mut dyn FnMut() -> PairEntry) -> PairEntry {
+        if let Some(v) = self.get(&key) {
+            return v;
         }
-        // Chunk separator so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let v = compute();
+        self.put(key, v);
+        v
     }
-    h
+
+    fn contains(&self, key: &PairKey) -> bool {
+        lock_ip(&self.inner).map.contains_key(key)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svdist::{ted, CostModel, SharedTree};
+    use svmetrics::{pair_divergence, Metric, PairArt, Variant};
+    use svtree::Tree;
 
-    fn key(n: u64) -> CacheKey {
-        CacheKey::pair(n, n + 1, 0, 0, 0)
+    fn key(n: u64) -> PairKey {
+        PairKey { fp_lo: n, fp_hi: n + 1, metric: 0, variant: 0, cost_model: 0 }
     }
 
-    fn val(d: u64) -> CachedPair {
-        CachedPair { distance: d, weight_lo: 10, weight_hi: 20 }
+    fn val(d: u64) -> PairEntry {
+        PairEntry { distance: d, weight_lo: 10, weight_hi: 20 }
+    }
+
+    fn tree_a() -> Tree {
+        Tree::node("f", vec![Tree::leaf("x"), Tree::node("g", vec![Tree::leaf("y")])])
+    }
+
+    fn tree_b() -> Tree {
+        Tree::node("f", vec![Tree::node("g", vec![Tree::leaf("y"), Tree::leaf("z")])])
+    }
+
+    /// A tree artefact fingerprinted for a memo, as `PairArt::of` makes it.
+    fn art(t: &Tree) -> PairArt {
+        let tree = SharedTree::new(t.clone());
+        let fp = tree.structural_hash();
+        PairArt::Tree(tree, Some(fp))
     }
 
     #[test]
     fn pair_key_is_orientation_free() {
-        assert_eq!(CacheKey::pair(7, 3, 1, 2, 0), CacheKey::pair(3, 7, 1, 2, 0));
-        assert_ne!(CacheKey::pair(3, 7, 1, 2, 0), CacheKey::pair(3, 7, 2, 2, 0));
-        assert_ne!(CacheKey::pair(3, 7, 1, 2, 0), CacheKey::pair(3, 7, 1, 3, 0));
+        let (m, v) = (Metric::TSem, Variant::PP);
+        assert_eq!(PairKey::new(7, 3, m, v), PairKey::new(3, 7, m, v));
+        assert_ne!(PairKey::new(3, 7, m, v), PairKey::new(3, 7, Metric::TIr, v));
+        assert_ne!(PairKey::new(3, 7, m, v), PairKey::new(3, 7, m, Variant::INLINED));
+    }
+
+    #[test]
+    fn entry_layout_keeps_its_byte_estimate() {
+        // `stats.app.cache.bytes` is entries × ENTRY_BYTES: a key or entry
+        // layout change would move every reported byte count.
+        assert_eq!(ENTRY_BYTES, 160);
     }
 
     #[test]
@@ -270,6 +243,8 @@ mod tests {
         assert_eq!(c.get(&key(1)), None);
         c.put(key(1), val(5));
         assert_eq!(c.get(&key(1)), Some(val(5)));
+        // `contains` is not a lookup: it moves no counter.
+        assert!(c.contains(&key(1)) && !c.contains(&key(2)));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         assert_eq!(s.entries, 1);
@@ -307,7 +282,7 @@ mod tests {
         let c = TedCache::new(1 << 16);
         let mut calls = 0;
         for _ in 0..3 {
-            let v = c.get_or_compute(key(4), || {
+            let v = PairMemo::get_or_compute(&c, key(4), &mut || {
                 calls += 1;
                 val(7)
             });
@@ -328,9 +303,57 @@ mod tests {
     }
 
     #[test]
-    fn fnv_separates_chunk_boundaries() {
-        assert_ne!(fnv1a([b"ab".as_slice(), b"c"]), fnv1a([b"a".as_slice(), b"bc"]));
-        assert_eq!(fnv1a([b"ab".as_slice()]), fnv1a([b"ab".as_slice()]));
-        assert_ne!(fnv1a([]), fnv1a([b"".as_slice()]));
+    fn memo_matches_direct_ted_and_counts_computes() {
+        let cache = TedCache::new(1 << 16);
+        let (a, b) = (art(&tree_a()), art(&tree_b()));
+        let d1 = pair_divergence(Metric::TSem, Variant::PLAIN, &a, &b, Some(&cache));
+        let direct = ted(&SharedTree::new(tree_a()), &SharedTree::new(tree_b()), CostModel::UNIT);
+        assert_eq!(d1.distance, direct);
+        assert_eq!(d1.dmax, tree_b().size() as u64);
+        assert_eq!(cache.stats().misses, 1);
+        // The entry keeps both weights in fingerprint order.
+        let k = PairKey::new(a.fp().unwrap(), b.fp().unwrap(), Metric::TSem, Variant::PLAIN);
+        let e = cache.get(&k).unwrap();
+        let (sa, sb) = (tree_a().size() as u64, tree_b().size() as u64);
+        let want = if a.fp() <= b.fp() { (sa, sb) } else { (sb, sa) };
+        assert_eq!((e.distance, e.weight_lo, e.weight_hi), (direct, want.0, want.1));
+        // Second call: served from cache, no recompute.
+        let d2 = pair_divergence(Metric::TSem, Variant::PLAIN, &a, &b, Some(&cache));
+        assert_eq!(d1, d2);
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
+    fn reversed_pair_shares_the_entry_with_swapped_weights() {
+        let cache = TedCache::new(1 << 16);
+        let (a, b) = (art(&tree_a()), art(&tree_b()));
+        let ab = pair_divergence(Metric::TSem, Variant::PLAIN, &a, &b, Some(&cache));
+        let ba = pair_divergence(Metric::TSem, Variant::PLAIN, &b, &a, Some(&cache));
+        assert_eq!(cache.stats().misses, 1, "symmetric pair computed once");
+        assert_eq!(ab.distance, ba.distance);
+        // Eq. 7 normalises by the target, so the orientation picks dmax.
+        assert_eq!(ab.dmax, tree_b().size() as u64);
+        assert_eq!(ba.dmax, tree_a().size() as u64);
+    }
+
+    #[test]
+    fn metric_and_variant_separate_cache_entries() {
+        let cache = TedCache::new(1 << 16);
+        let (a, b) = (art(&tree_a()), art(&tree_b()));
+        pair_divergence(Metric::TSem, Variant::PLAIN, &a, &b, Some(&cache));
+        pair_divergence(Metric::TSrc, Variant::PLAIN, &a, &b, Some(&cache));
+        pair_divergence(Metric::TSem, Variant::INLINED, &a, &b, Some(&cache));
+        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn metric_codes_are_distinct() {
+        let mut codes: Vec<u8> =
+            Metric::ALL.iter().map(|&m| PairKey::new(1, 2, m, Variant::PLAIN).metric).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), Metric::ALL.len());
     }
 }

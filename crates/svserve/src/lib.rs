@@ -7,8 +7,9 @@
 //!
 //! * [`cache`] — a content-addressed LRU result cache keyed by artefact
 //!   fingerprint pair + metric + variant + cost model, so *sequential*
-//!   repeats of a pair cost a hash lookup ([`cached`] is the bridge to
-//!   the `svmetrics` kernels);
+//!   repeats of a pair cost a hash lookup.  [`TedCache`] is the
+//!   `svmetrics::PairMemo` the service hands to `svmetrics`' one row and
+//!   one matrix, which own the Eq. 6/7 normalisation;
 //! * [`sched`] — the server's one thread pool, with in-flight job
 //!   deduplication, so *concurrent* identical requests execute once;
 //! * [`proto`] / [`server`] / [`client`] — the from-scratch framed
@@ -30,7 +31,6 @@
 
 pub mod binproto;
 pub mod cache;
-pub mod cached;
 pub mod client;
 pub mod faults;
 pub mod proto;
@@ -42,7 +42,7 @@ pub mod svjson;
 pub mod sys;
 pub mod tracewire;
 
-pub use cache::{CacheKey, CacheStats, CachedPair, TedCache};
+pub use cache::{CacheStats, TedCache};
 pub use client::{Client, RetryPolicy, Wire};
 pub use faults::{Fault, FaultPlan};
 pub use proto::{id_hex, parse_id_hex, trace_json, Request, ServeError, MAX_FRAME};
@@ -60,11 +60,9 @@ mod proptests {
     //! divergence are bit-identical on arbitrary tree pairs.
 
     use crate::cache::TedCache;
-    use crate::cached::{pair_cached, FpArtifact};
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicU64;
     use svdist::{ted, CostModel, SharedTree};
-    use svmetrics::{Metric, Variant};
+    use svmetrics::{pair_divergence, Metric, PairArt, PairKey, Variant};
     use svtree::Tree;
 
     /// An arbitrary small tree: label choices are narrow on purpose so
@@ -91,9 +89,10 @@ mod proptests {
         ted(&SharedTree::new(a.clone()), &SharedTree::new(b.clone()), CostModel::UNIT)
     }
 
-    fn fp(t: &Tree) -> FpArtifact {
+    fn fp(t: &Tree) -> PairArt {
         let tree = SharedTree::new(t.clone());
-        FpArtifact::Tree { fp: tree.structural_hash(), tree }
+        let fp = tree.structural_hash();
+        PairArt::Tree(tree, Some(fp))
     }
 
     proptest! {
@@ -103,17 +102,31 @@ mod proptests {
             b in arb_tree(3),
         ) {
             let cache = TedCache::new(1 << 16);
-            let computes = AtomicU64::new(0);
             let (fa, fb) = (fp(&a), fp(&b));
             let direct = direct(&a, &b);
+            let uncached = pair_divergence(Metric::TSem, Variant::PLAIN, &fa, &fb, None);
             // Cold: computed; warm: served — both must equal the direct TED.
-            let cold = pair_cached(&cache, Metric::TSem, Variant::PLAIN, &fa, &fb, &computes);
-            let warm = pair_cached(&cache, Metric::TSem, Variant::PLAIN, &fa, &fb, &computes);
+            let cold = pair_divergence(Metric::TSem, Variant::PLAIN, &fa, &fb, Some(&cache));
+            let warm = pair_divergence(Metric::TSem, Variant::PLAIN, &fa, &fb, Some(&cache));
             prop_assert_eq!(cold.distance, direct);
+            prop_assert_eq!(cold, uncached);
             prop_assert_eq!(warm, cold);
-            prop_assert_eq!(computes.load(std::sync::atomic::Ordering::Relaxed), 1);
-            prop_assert_eq!(cold.weight_lo, a.size() as u64);
-            prop_assert_eq!(cold.weight_hi, b.size() as u64);
+            prop_assert_eq!(cold.dmax, (b.size() as u64).max(1));
+            // Content-identical trees are 0 apart without a memo entry;
+            // every other pair is computed exactly once, with both
+            // weights stored in fingerprint order.
+            let stats = cache.stats();
+            if fa.fp() == fb.fp() && a.size() == b.size() {
+                prop_assert_eq!((stats.misses, stats.entries), (0, 0));
+            } else {
+                prop_assert_eq!(stats.misses, 1);
+                let (ka, kb) = (fa.fp().unwrap(), fb.fp().unwrap());
+                let key = PairKey::new(ka, kb, Metric::TSem, Variant::PLAIN);
+                let entry = cache.get(&key).unwrap();
+                let (wa, wb) = (a.size() as u64, b.size() as u64);
+                let want = if fa.fp() <= fb.fp() { (wa, wb) } else { (wb, wa) };
+                prop_assert_eq!((entry.weight_lo, entry.weight_hi), want);
+            }
         }
 
         #[test]
@@ -125,7 +138,6 @@ mod proptests {
             // A single-entry cache evicts constantly; values must still
             // always match the direct computation.
             let cache = TedCache::new(0);
-            let computes = AtomicU64::new(0);
             let arts = [fp(&a), fp(&b), fp(&c)];
             let trees = [&a, &b, &c];
             for _round in 0..2 {
@@ -134,11 +146,10 @@ mod proptests {
                         if i == j {
                             continue;
                         }
-                        let p = pair_cached(
-                            &cache, Metric::TSem, Variant::PLAIN,
-                            &arts[i], &arts[j], &computes,
+                        let d = pair_divergence(
+                            Metric::TSem, Variant::PLAIN, &arts[i], &arts[j], Some(&cache),
                         );
-                        prop_assert_eq!(p.distance, direct(trees[i], trees[j]));
+                        prop_assert_eq!(d.distance, direct(trees[i], trees[j]));
                     }
                 }
             }

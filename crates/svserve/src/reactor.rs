@@ -15,7 +15,7 @@
 //!
 //! Per-connection state machine: while a request is in flight the
 //! connection's `EPOLLIN` interest is dropped, so a client gets exactly
-//! one outstanding request at a time (the threaded loop's behaviour) and
+//! one outstanding request at a time and
 //! buffering stays bounded — further pipelined frames wait in the kernel
 //! socket buffer.  When the reply is posted back (completion queue +
 //! eventfd wake), already-buffered frames are parsed before interest is
@@ -27,7 +27,7 @@
 //! `LineAccum` semantics), but a corrupt binary length prefix leaves
 //! no boundary to find, so the reply is followed by a close.
 //!
-//! The reactor is the only connection loop on Linux; a failure to set it
+//! The reactor is the server's only connection loop; a failure to set it
 //! up is an error from `serve_with`.
 
 #![cfg(target_os = "linux")]
@@ -48,7 +48,7 @@ const TAG_LISTENER: u64 = 1;
 const FIRST_CONN: u64 = 2;
 
 /// `epoll_wait` timeout — the shutdown-flag poll and stall-sweep
-/// cadence, matching the threaded loop's `POLL_INTERVAL`.
+/// cadence.
 const WAIT_MS: i32 = 100;
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -370,8 +370,8 @@ impl Reactor {
             c.out.extend_from_slice(&comp.reply);
             c.in_flight = false;
             if self.state.is_shutdown() {
-                // As in the threaded loop: the last reply is written,
-                // then the connection winds down.
+                // The last reply is written, then the connection winds
+                // down.
                 self.conns[comp.idx].as_mut().unwrap().closing = true;
             }
             // Already-buffered pipelined frames proceed before EPOLLIN is

@@ -284,7 +284,6 @@ impl JobPool {
 
     /// Run a request frame.  Frames are never deduplicated, shed or
     /// drained: each one delivers a reply.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     pub(crate) fn post(&self, frame: Frame) {
         let mut s = self.shared.lock();
         s.frames.push_back(frame);

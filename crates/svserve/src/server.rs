@@ -11,9 +11,9 @@
 //! line-framed JSON protocol (the original wire, kept byte-identical for
 //! old clients) and a length-prefixed binary protocol
 //! ([`crate::binproto`]) that carries svpack bytes verbatim.  Each
-//! connection picks its wire with its first bytes ([`Parser`]).  On Linux
-//! the epoll [`crate::reactor`] drives every connection; other platforms
-//! get a thread-per-connection loop over the same [`Parser`].
+//! connection picks its wire with its first bytes ([`Parser`]).  The epoll
+//! [`crate::reactor`] drives every connection, so the server runs on
+//! Linux only; elsewhere [`serve_with`] returns `Unsupported`.
 
 use crate::binproto::{self, FrameAccum};
 use crate::client::Wire;
@@ -26,8 +26,8 @@ use crate::sched::{FanoutCtx, JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
 use crate::svjson::Json;
 use crate::tracewire;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -185,7 +185,6 @@ impl Router {
 pub(crate) struct ServerState {
     pub(crate) router: Router,
     pub(crate) pool: JobPool,
-    pub(crate) addr: SocketAddr,
     pub(crate) deadline: Option<Duration>,
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
@@ -203,8 +202,7 @@ pub(crate) struct ServerState {
     /// interesting number during migration).
     pub(crate) win_json: RollingWindow,
     pub(crate) win_bin: RollingWindow,
-    /// Installed by the reactor: wakes its `epoll_wait` without a
-    /// throwaway TCP connect.  `None` under the threaded loop.
+    /// Installed by the reactor: wakes its `epoll_wait`.
     waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -217,14 +215,11 @@ impl ServerState {
         *self.waker.lock().unwrap_or_else(|p| p.into_inner()) = Some(w);
     }
 
-    /// Wake whatever is blocked waiting for work: the reactor's eventfd
-    /// if one is installed, else the threaded loop's blocking accept (a
-    /// throwaway connect).
+    /// Wake the reactor's `epoll_wait` so it sees the shutdown flag.
     pub(crate) fn wake(&self) {
         let waker = self.waker.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        match waker {
-            Some(w) => w(),
-            None => drop(TcpStream::connect(self.addr)),
+        if let Some(w) = waker {
+            w();
         }
     }
 
@@ -514,11 +509,6 @@ impl Drop for ServeHandle {
     }
 }
 
-/// How often the threaded loop's blocked reads wake up to poll the
-/// shutdown flag.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
 /// A connection holding part of a frame, with nothing in flight, that
 /// sends nothing for this long is closed (idle ones stay open).
 pub(crate) const STALL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -533,31 +523,33 @@ pub fn serve(addr: impl ToSocketAddrs, router: Router, workers: usize) -> io::Re
 
 /// [`serve`] with the full robustness configuration: queue bound,
 /// per-request deadline, and (in tests) a fault-injection plan.  One
-/// socket serves both wires.  On Linux a failure to set up the reactor
-/// (epoll, eventfd) is returned here.
+/// socket serves both wires.  A failure to set up the reactor (epoll,
+/// eventfd) is returned here; on targets other than Linux, which have no
+/// epoll, so is `io::ErrorKind::Unsupported`.
 pub fn serve_with(
     addr: impl ToSocketAddrs,
     router: Router,
     config: ServeConfig,
 ) -> io::Result<ServeHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let state = new_state(addr, router, config);
     #[cfg(target_os = "linux")]
-    let serve = {
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let state = new_state(router, config);
         let reactor = crate::reactor::Reactor::new(listener, Arc::clone(&state))?;
-        move || reactor.run()
-    };
+        let accept_thread = std::thread::Builder::new()
+            .name("svserve-accept".into())
+            .spawn(move || reactor.run())?;
+        Ok(ServeHandle { addr, state, accept_thread: Some(accept_thread) })
+    }
     #[cfg(not(target_os = "linux"))]
-    let serve = {
-        let state = Arc::clone(&state);
-        move || accept_loop(listener, state)
-    };
-    let accept_thread = std::thread::Builder::new().name("svserve-accept".into()).spawn(serve)?;
-    Ok(ServeHandle { addr, state, accept_thread: Some(accept_thread) })
+    {
+        let _ = (addr, router, config);
+        Err(io::Error::new(io::ErrorKind::Unsupported, "svserve serves on Linux only (epoll)"))
+    }
 }
 
-fn new_state(addr: SocketAddr, router: Router, config: ServeConfig) -> Arc<ServerState> {
+fn new_state(router: Router, config: ServeConfig) -> Arc<ServerState> {
     let mut recorder_cfg = RecorderConfig::default();
     if let Some(t) = config.slow_threshold {
         recorder_cfg.slow_threshold = t;
@@ -569,7 +561,6 @@ fn new_state(addr: SocketAddr, router: Router, config: ServeConfig) -> Arc<Serve
             max_queue: config.max_queue,
             faults: config.faults,
         }),
-        addr,
         deadline: config.deadline,
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
@@ -588,8 +579,7 @@ fn new_state(addr: SocketAddr, router: Router, config: ServeConfig) -> Arc<Serve
 
 /// Serve one request end to end: self-sampling, flight-recorder
 /// bookkeeping, dispatch under `catch_unwind`, latency/error windows.
-/// Both wires and both connection loops funnel through here, so their
-/// semantics cannot drift.
+/// Both wires funnel through here, so their semantics cannot drift.
 pub(crate) fn process_request(
     state: &Arc<ServerState>,
     req: &Request,
@@ -678,8 +668,8 @@ fn handle_frame_bin(state: &Arc<ServerState>, payload: &[u8]) -> Vec<u8> {
     }
 }
 
-/// A connection's inbound framing, shared by the reactor and the
-/// threaded loop so the wires' rules cannot drift between them.
+/// A connection's inbound framing: one parser for both wires, so their
+/// rules cannot drift between them.
 ///
 /// Every connection starts in `Sniff`, buffering until its first bytes
 /// decide the wire ([`binproto::sniff`]): the full preface switches it
@@ -783,86 +773,6 @@ impl Job {
                 Job::Bin(_) => binproto::encode_response_err(None, &e),
             }
         })
-    }
-}
-
-/// The connection loop where there is no epoll: one blocking accept
-/// loop, one thread per connection.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    let mut conn_threads = Vec::new();
-    while !state.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.is_shutdown() {
-                    break; // the shutdown wake-up connection
-                }
-                state.count_connection();
-                let state = Arc::clone(&state);
-                if let Ok(t) = std::thread::Builder::new()
-                    .name("svserve-conn".into())
-                    .spawn(move || serve_connection(stream, state))
-                {
-                    conn_threads.push(t);
-                }
-                // Reap finished connection threads opportunistically.
-                conn_threads.retain(|t| !t.is_finished());
-            }
-            Err(_) => break,
-        }
-    }
-    // Connections poll the shutdown flag at POLL_INTERVAL; join them so
-    // shutdown stats include every request.
-    for t in conn_threads {
-        let _ = t.join();
-    }
-}
-
-/// Serve one connection on its own thread: blocking reads feed the
-/// [`Parser`], one request at a time, like the reactor.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
-    // Short read timeouts let the connection poll the shutdown flag while
-    // staying responsive; the parser keeps partial frames across them.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut parser = Parser::new();
-    let mut chunk = [0u8; 8192];
-    let mut last_rx = Instant::now();
-    while !state.is_shutdown() {
-        let reply = match parser.step() {
-            Step::Dispatch(job) => job.reply(&state),
-            Step::JsonTooLarge => state.reject_oversized_json().into_bytes(),
-            Step::BinFatal => {
-                // No boundary to resync on: reply, then close.
-                let _ = stream.write_all(&state.reject_oversized_bin());
-                return;
-            }
-            Step::Idle => match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => {
-                    parser.push(&chunk[..n]);
-                    last_rx = Instant::now();
-                    continue;
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if parser.has_partial() && last_rx.elapsed() >= STALL_TIMEOUT {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            },
-        };
-        if stream.write_all(&reply).is_err() {
-            return;
-        }
     }
 }
 
@@ -1070,59 +980,6 @@ mod tests {
             methods.as_array().unwrap().iter().filter_map(Json::as_str).collect();
         assert!(names.contains(&"echo") && names.contains(&"stats"));
         h.shutdown();
-    }
-
-    /// The threaded loop is the serving path only where there is no
-    /// epoll; this drives it directly so every build still runs it.
-    #[test]
-    fn threaded_loop_serves_both_wires_on_one_port() {
-        use crate::binproto::{BinFrameReader, BinRead, PREFACE};
-        use crate::client::Client;
-        use crate::proto::{parse_response, FrameReader, MAX_FRAME};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let state = new_state(addr, test_router(), ServeConfig::default());
-        let loop_state = Arc::clone(&state);
-        let accept = std::thread::spawn(move || accept_loop(listener, loop_state));
-
-        let mut json = Client::connect(addr).unwrap();
-        assert_eq!(json.call("echo", Json::Num(1.0)).unwrap(), Json::Num(1.0));
-        let mut bin = Client::connect_negotiated(addr).unwrap();
-        assert_eq!(bin.wire(), Wire::Bin);
-        assert_eq!(bin.call("echo", Json::Num(2.0)).unwrap(), Json::Num(2.0));
-        assert_eq!(json.call("fail", Json::Null).unwrap_err().code, "internal");
-
-        // A broken preface is the JSON wire.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(b"\0garbage\n").unwrap();
-        let FrameRead::Line(line) = FrameReader::new(raw).read_frame().unwrap() else {
-            panic!("expected a reply line");
-        };
-        let (id, res) = parse_response(&line).unwrap();
-        assert_eq!((id, res.unwrap_err().code), (None, "parse_error"));
-
-        // An oversized binary length: error reply, then close.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(&PREFACE).unwrap();
-        raw.write_all(&((MAX_FRAME + 1) as u32).to_le_bytes()).unwrap();
-        let mut reader = BinFrameReader::new(raw);
-        let BinRead::Frame(payload) = reader.read_frame().unwrap() else {
-            panic!("expected an error frame");
-        };
-        let (_, res) = binproto::decode_response(&payload).unwrap();
-        assert_eq!(res.unwrap_err().code, "frame_too_large");
-        assert_eq!(reader.read_frame().unwrap(), BinRead::Eof);
-
-        state.shutdown.store(true, Ordering::SeqCst);
-        state.pool.begin_drain();
-        state.wake();
-        accept.join().unwrap();
-        let stats = state.stats_json();
-        let window = stats.get("window").unwrap();
-        assert!(window.get("json_rate_10s").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(window.get("bin_rate_10s").and_then(Json::as_f64).unwrap() > 0.0);
-        let server = stats.get("server").unwrap();
-        assert_eq!(server.get("connections").and_then(Json::as_f64), Some(4.0));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! The repo's from-scratch ethos rules out the `libc` crate, so the
 //! handful of syscall wrappers are declared here directly against the C
 //! library `std` already links.  Everything is Linux-only and gated as
-//! such; the portable paths live with their callers (`server` keeps a
-//! threaded accept loop for other platforms, `store` reads the file into
-//! memory).
+//! such: the server runs on Linux only, and `store` reads the file into
+//! memory elsewhere.
 
 #![cfg(target_os = "linux")]
 

@@ -7,10 +7,10 @@
 //! counters, so everything lives in a single `#[test]` in its own
 //! integration binary — no other test in this process touches trees.
 
-use std::sync::atomic::AtomicU64;
 use svcorpus::{unit, App, Model};
-use svmetrics::{divergence, divergence_matrix, Artifacts, Measured, Metric, Variant};
-use svserve::cached::{divergence_cached_arts, FpArtifact};
+use svmetrics::{
+    divergence, divergence_matrix, pair_divergence, Artifacts, Measured, Metric, PairArt, Variant,
+};
 use svserve::TedCache;
 
 #[test]
@@ -26,11 +26,12 @@ fn artifact_reuse_counters() {
     // Fingerprinting an artefact walks its tree once; re-fingerprinting
     // the same stored artefact (the per-request path in svserve) must not
     // walk it again.
+    let cache = TedCache::new(1 << 20);
     let h0 = svtree::structural_hash_count();
-    let fa = FpArtifact::of(&measured[0], Metric::TSem, Variant::PLAIN);
+    let fa = PairArt::of(&measured[0], Metric::TSem, Variant::PLAIN, Some(&cache));
     let h1 = svtree::structural_hash_count();
     assert_eq!(h1 - h0, 1, "cold fingerprint hashes the tree exactly once");
-    let fa_again = FpArtifact::of(&measured[0], Metric::TSem, Variant::PLAIN);
+    let fa_again = PairArt::of(&measured[0], Metric::TSem, Variant::PLAIN, Some(&cache));
     assert_eq!(fa.fp(), fa_again.fp());
     assert_eq!(
         svtree::structural_hash_count(),
@@ -42,7 +43,7 @@ fn artifact_reuse_counters() {
     // A divergence matrix over n models builds at most 2 decompositions
     // per tree (left and right), not 2 per pair.
     let d0 = svdist::decompose_count();
-    let m1 = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured);
+    let m1 = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured, None);
     let d1 = svdist::decompose_count();
     assert!(d1 - d0 <= 2 * n, "matrix build did {} decompositions for {n} trees", d1 - d0);
     assert!(d1 > d0, "cold matrix build must decompose something");
@@ -50,7 +51,7 @@ fn artifact_reuse_counters() {
     // Rebuilding the matrix from the same stored artefacts is free: every
     // decomposition (and every hash) is served from the memo.
     let h2 = svtree::structural_hash_count();
-    let m2 = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured);
+    let m2 = divergence_matrix(Metric::TSem, Variant::PLAIN, &labels, &measured, None);
     assert_eq!(m1, m2);
     assert_eq!(svdist::decompose_count(), d1, "matrix rebuild recomputed a decomposition");
     assert_eq!(svtree::structural_hash_count(), h2, "matrix rebuild recomputed a hash");
@@ -86,21 +87,18 @@ fn artifact_reuse_counters() {
     // Cold request: fingerprints are memoised (zero hash walks — the trees
     // were hashed above), one TED compute.  Warm request: cache hit, zero
     // computes, zero hashes, zero decompositions.
-    let cache = TedCache::new(1 << 20);
-    let computes = AtomicU64::new(0);
-    let fb = FpArtifact::of(&measured[1], Metric::TSem, Variant::PLAIN);
-    let cold = divergence_cached_arts(&cache, Metric::TSem, Variant::PLAIN, &fa, &fb, &computes);
-    assert_eq!(computes.load(std::sync::atomic::Ordering::Relaxed), 1);
+    let fb = PairArt::of(&measured[1], Metric::TSem, Variant::PLAIN, Some(&cache));
+    let cold = pair_divergence(Metric::TSem, Variant::PLAIN, &fa, &fb, Some(&cache));
+    assert_eq!(cache.stats().misses, 1);
     let (h4, d4) = (svtree::structural_hash_count(), svdist::decompose_count());
     for _ in 0..3 {
         // The full per-request path: re-extract artefacts, then look up.
-        let ra = FpArtifact::of(&measured[0], Metric::TSem, Variant::PLAIN);
-        let rb = FpArtifact::of(&measured[1], Metric::TSem, Variant::PLAIN);
-        let warm =
-            divergence_cached_arts(&cache, Metric::TSem, Variant::PLAIN, &ra, &rb, &computes);
+        let ra = PairArt::of(&measured[0], Metric::TSem, Variant::PLAIN, Some(&cache));
+        let rb = PairArt::of(&measured[1], Metric::TSem, Variant::PLAIN, Some(&cache));
+        let warm = pair_divergence(Metric::TSem, Variant::PLAIN, &ra, &rb, Some(&cache));
         assert_eq!(warm, cold);
     }
-    assert_eq!(computes.load(std::sync::atomic::Ordering::Relaxed), 1, "warm requests recomputed");
+    assert_eq!(cache.stats().misses, 1, "warm requests recomputed");
     assert_eq!(
         (svtree::structural_hash_count(), svdist::decompose_count()),
         (h4, d4),

@@ -29,7 +29,7 @@ fn assert_rows_match_pair_loop(db: &CodebaseDb, bases: [&str; 2]) {
                 let oracle: Vec<_> =
                     units.iter().map(|u| divergence(metric, v, &units[b], u)).collect();
                 assert_eq!(
-                    divergence_row(metric, v, &units[b], &units),
+                    divergence_row(metric, v, &units[b], &units, None),
                     oracle,
                     "{} {metric:?}{} from {base}",
                     db.name,
@@ -62,7 +62,7 @@ fn divergence_from_labels_the_row_and_rejects_an_unknown_base() {
     let db = index_fortran().unwrap();
     let units = measured(&db, Variant::PLAIN);
     for metric in [Metric::TSem, Metric::Source, Metric::Sloc] {
-        let row = divergence_row(metric, Variant::PLAIN, &units[0], &units);
+        let row = divergence_row(metric, Variant::PLAIN, &units[0], &units, None);
         let labelled = divergence_from(&db, metric, Variant::PLAIN, "Sequential").unwrap();
         assert_eq!(labelled.len(), row.len());
         for ((e, (label, d)), r) in db.entries.iter().zip(&labelled).zip(&row) {

@@ -57,6 +57,40 @@ fn metrics_request_inspects_a_live_server() {
     handle.shutdown();
 }
 
+/// Served TEDs land in the process-wide pair metrics: a cold `matrix`
+/// computes its pairs through `svmetrics`, which records every memo miss
+/// (the registry is global, so other tests may add to it: `>=`).
+#[test]
+fn cold_served_matrix_counts_its_teds_in_global_metrics() {
+    let (handle, service) = start_server();
+    service.insert_db("minibude", index_app(svcorpus::App::MiniBude, false).unwrap());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let counter = |client: &mut Client, name: &str| {
+        // A counter no pair has touched yet is absent: 0.
+        let m = client.call("metrics", Json::Null).unwrap();
+        m.get("counters").and_then(|c| c.get(name)).and_then(Json::as_f64).unwrap_or(0.0)
+    };
+    let (teds0, computes0) = (
+        counter(&mut client, "svmetrics.ted_pairs"),
+        counter(&mut client, "service.pair_computes"),
+    );
+    client
+        .call("matrix", Json::obj([("db", Json::str("minibude")), ("metric", Json::str("t_sem"))]))
+        .unwrap();
+    let (teds1, computes1) = (
+        counter(&mut client, "svmetrics.ted_pairs"),
+        counter(&mut client, "service.pair_computes"),
+    );
+    assert!(computes1 > computes0, "a cold matrix computes pairs");
+    assert!(
+        teds1 - teds0 >= computes1 - computes0,
+        "ted_pairs rose {} for {} computed pairs",
+        teds1 - teds0,
+        computes1 - computes0
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn index_compare_cluster_session_end_to_end() {
     let (handle, _service) = start_server();
