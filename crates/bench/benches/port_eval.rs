@@ -1,11 +1,11 @@
-//! Port-candidate evaluation throughput: cold vs warm fan-out.
+//! Port-candidate evaluation throughput: cold vs warm.
 //!
-//! The `evaluate` method fans one request into one pool job per
-//! candidate.  Cold, every unique candidate pays the full pipeline —
-//! compile, interpreted gate run against the serial baseline, TED for
-//! both TBMD variants.  Warm, the candidate memo answers the gate and
-//! the content-addressed `TedCache` answers the divergences, so a
-//! repeated evaluation is pure lookups plus ranking.  This bench runs
+//! The `evaluate` method is one pool job running `silvervale::score_ports`,
+//! one `svpar` task per unique candidate.  Cold, every unique candidate
+//! pays the full pipeline — compile, interpreted gate run against the
+//! serial baseline, TED for both TBMD variants.  Warm, the candidate memo
+//! answers the gate and the content-addressed `TedCache` answers the
+//! divergences, so a repeated evaluation is pure lookups plus ranking.  This bench runs
 //! the real TCP service end-to-end, measures candidates/second in both
 //! regimes, and writes the medians to
 //! `target/figures/BENCH_port_eval.json`.  Warm evaluation must be ≥2×
@@ -100,9 +100,10 @@ fn main() {
          \"cold_candidates_per_s\": {cold_cps:.1},\n  \
          \"warm_candidates_per_s\": {warm_cps:.1},\n  \
          \"speedup_warm_over_cold\": {speedup:.3},\n  \
-         \"note\": \"one pool job per candidate through the live service; cold pays compile + \
-         interpreted gate + TED per unique candidate, warm is served by the candidate memo and \
-         the content-addressed TedCache (pure lookups + ranking)\"\n}}\n",
+         \"note\": \"one pool job per request through the live service, one svpar task per \
+         unique candidate; cold pays compile + interpreted gate + TED per unique candidate, warm \
+         is served by the candidate memo and the content-addressed TedCache (pure lookups + \
+         ranking)\"\n}}\n",
     );
 
     save_figure("BENCH_port_eval.json", &json);

@@ -14,7 +14,9 @@
 //! 3. **Codebase DB** ([`db`]) — persist the artefacts in the compressed
 //!    `svpack`/`svz` container,
 //! 4. **Analyse** ([`pipeline`]) — divergence matrices, dendrograms and
-//!    navigation charts over any metric/variant of Table I.
+//!    navigation charts over any metric/variant of Table I, and the
+//!    ranked leaderboard of generated port candidates
+//!    ([`pipeline::score_ports`]).
 
 pub mod compdb;
 pub mod db;
@@ -29,9 +31,9 @@ pub use svserve::svjson;
 pub use compdb::{parse_compile_commands, write_compile_commands, CompileCommand};
 pub use db::{CodebaseDb, DbEntry};
 pub use pipeline::{
-    divergence_from, index_app, index_app_seq, index_compilation_db, index_compilation_db_seq,
-    index_fortran, inventory, model_dendrogram, model_matrix, model_matrix_approx,
-    navigation_chart,
+    divergence_from, evaluate_ports, index_app, index_app_seq, index_compilation_db,
+    index_compilation_db_seq, index_fortran, inventory, model_dendrogram, model_matrix,
+    model_matrix_approx, navigation_chart, score_ports, GatedPort,
 };
 pub use serve::AnalysisService;
 
@@ -75,6 +77,15 @@ impl From<svlang::source::LangError> for Error {
 impl From<svexec::ExecError> for Error {
     fn from(e: svexec::ExecError) -> Self {
         Error::Exec(e)
+    }
+}
+
+impl From<svport::PortError> for Error {
+    fn from(e: svport::PortError) -> Self {
+        match e {
+            svport::PortError::Lang(e) => Error::Lang(e),
+            svport::PortError::Exec(e) => Error::Exec(e),
+        }
     }
 }
 

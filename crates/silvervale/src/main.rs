@@ -401,7 +401,8 @@ fn run() -> Result<(), String> {
                 load_db(path)?;
             }
             let trace = TraceOut::begin(&args);
-            let board = svport::evaluate(app, candidates, seed).map_err(|e| e.to_string())?;
+            let board =
+                silvervale::evaluate_ports(app, candidates, seed).map_err(|e| e.to_string())?;
             trace.finish()?;
             if args.flag("csv") {
                 print!("{}", board.to_csv());

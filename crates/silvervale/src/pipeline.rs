@@ -8,16 +8,19 @@
 use crate::compdb::CompileCommand;
 use crate::db::CodebaseDb;
 use crate::Error;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use svcluster::{cluster_rows, Dendrogram};
 use svcorpus::{App, Model};
 use svdist::DistanceMatrix;
 use svlang::source::SourceSet;
 use svlang::unit::{compile_unit, UnitOptions};
 use svmetrics::{
-    divergence_matrix, divergence_matrix_approx, divergence_row, ApproxStats, Artifacts, Measured,
-    Metric, Variant,
+    divergence_matrix, divergence_matrix_approx, divergence_row, pair_divergence, ApproxStats,
+    Artifacts, Measured, Metric, PairArt, PairMemo, Variant,
 };
 use svperf::{phi_all, NavPoint, NavigationChart};
+use svport::{Candidate, GateClass, Gated, Leaderboard, ScoredCandidate};
 
 /// Index one corpus app: compile every model, optionally run each under
 /// the interpreter to collect coverage, and store the artefacts.
@@ -213,6 +216,104 @@ pub fn navigation_chart(app: App, db: &CodebaseDb) -> Result<NavigationChart, Er
     Ok(NavigationChart { app, points })
 }
 
+/// One gated port candidate as [`score_ports`] consumes it: the gate's
+/// class and detail and, when the candidate built, its `T_sem` and `T_src`
+/// comparison artefacts.  The compiled `Unit` is not kept.
+pub struct GatedPort {
+    pub class: GateClass,
+    pub detail: String,
+    /// `(T_sem, T_src)` artefacts (`None` on build-fail).
+    pub arts: Option<(PairArt, PairArt)>,
+}
+
+impl GatedPort {
+    /// Keep a gate outcome's class and detail and extract the built
+    /// candidate's artefacts, fingerprinted when `memo` is given.
+    pub fn new(g: Gated, memo: Option<&dyn PairMemo>) -> GatedPort {
+        let arts = g.unit.as_ref().map(|u| {
+            let m = Measured::new(u);
+            let art = |metric| PairArt::of(&m, metric, Variant::PLAIN, memo);
+            (art(Metric::TSem), art(Metric::TSrc))
+        });
+        GatedPort { class: g.class, detail: g.detail, arts }
+    }
+}
+
+/// Gate and score a port-candidate population against the `base` unit:
+/// correctness × TBMD × Φ → ranked leaderboard.
+///
+/// Identical sources (the generator emits deliberate duplicates) are
+/// gated and scored once.  Each unique candidate is one `svpar::par_tasks`
+/// task: `gate(candidate, source fingerprint)`, then TBMD from the base
+/// for `T_sem` and `T_src` (Eq. 7 normalises by the candidate's tree),
+/// served from `memo` when one is given.  A memo never changes the
+/// leaderboard: TBMD is bit-equal with or without one.
+pub fn score_ports(
+    app: App,
+    seed: u64,
+    cands: &[Candidate],
+    base: &Measured<'_>,
+    gate: impl Fn(&Candidate, u64) -> Arc<GatedPort> + Sync,
+    memo: Option<&dyn PairMemo>,
+) -> Leaderboard {
+    let _s = svtrace::span!("port.score", app = app.name());
+    let fps: Vec<u64> = cands.iter().map(|c| svport::source_fingerprint(&c.source)).collect();
+    let mut seen = HashSet::new();
+    let unique: Vec<usize> = (0..cands.len()).filter(|&i| seen.insert(fps[i])).collect();
+
+    let art = |metric| PairArt::of(base, metric, Variant::PLAIN, memo);
+    let (base_sem, base_src) = (art(Metric::TSem), art(Metric::TSrc));
+    let div = |metric, base: &PairArt, cand: &PairArt| {
+        pair_divergence(metric, Variant::PLAIN, base, cand, memo).normalized()
+    };
+    let trace = svtrace::ctx::capture();
+    let scored = svpar::par_tasks(&unique, |&i| {
+        let _t = svtrace::ctx::install(trace.clone());
+        let port = gate(&cands[i], fps[i]);
+        let tbmd = port.arts.as_ref().map(|(sem, src)| {
+            (div(Metric::TSem, &base_sem, sem), div(Metric::TSrc, &base_src, src))
+        });
+        (port, tbmd)
+    });
+    let by_fp: HashMap<u64, _> = unique.iter().map(|&i| fps[i]).zip(scored).collect();
+
+    let mut rows: Vec<ScoredCandidate> = cands
+        .iter()
+        .zip(fps)
+        .map(|(c, fp)| {
+            let (port, tbmd) = &by_fp[&fp];
+            let phi = phi_all(app, c.model);
+            let tbmd_sem = tbmd.map(|t| t.0);
+            ScoredCandidate {
+                id: c.id,
+                label: c.label.clone(),
+                model: c.model,
+                class: port.class,
+                detail: port.detail.clone(),
+                fingerprint: fp,
+                edits: c.edits.clone(),
+                tbmd_sem,
+                tbmd_src: tbmd.map(|t| t.1),
+                phi,
+                score: svport::score_value(port.class, phi, tbmd_sem),
+            }
+        })
+        .collect();
+    rows.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+    Leaderboard { app, seed, rows }
+}
+
+/// Offline port evaluation: generate `n` seeded candidates of `app`'s
+/// parallel ports and [`score_ports`] them against the recompiled serial
+/// baseline with the plain gate and no memo.
+pub fn evaluate_ports(app: App, n: usize, seed: u64) -> Result<Leaderboard, Error> {
+    let baseline = svport::baseline_run(app)?;
+    let base = svcorpus::unit(app, Model::Serial)?;
+    let gate = |c: &Candidate, _| Arc::new(GatedPort::new(svport::gate(app, c, &baseline), None));
+    let cands = svport::generate(app, n, seed);
+    Ok(score_ports(app, seed, &cands, &Measured::new(&base), gate, None))
+}
+
 /// Table II-style inventory of what the DB holds.
 pub fn inventory(db: &CodebaseDb) -> String {
     let mut s = format!("Codebase DB '{}' — {} units\n", db.name, db.entries.len());
@@ -324,6 +425,65 @@ mod tests {
         assert_eq!(db.entries.len(), 2);
         // The -DFAST variant has one more function.
         assert!(db.entries[0].artifacts.t_sem.size() > db.entries[1].artifacts.t_sem.size());
+    }
+
+    fn small_board() -> Leaderboard {
+        evaluate_ports(App::BabelStream, 24, 7).expect("evaluate")
+    }
+
+    #[test]
+    fn leaderboard_is_ranked_and_deterministic() {
+        let a = small_board();
+        let b = small_board();
+        assert_eq!(a.rows.len(), 24);
+        for w in a.rows.windows(2) {
+            assert!(w[0].score >= w[1].score);
+        }
+        let ids: Vec<_> = a.rows.iter().map(|r| (r.id, r.score)).collect();
+        let ids2: Vec<_> = b.rows.iter().map(|r| (r.id, r.score)).collect();
+        assert_eq!(ids, ids2, "same seed must rank identically");
+    }
+
+    #[test]
+    fn failed_candidates_score_zero_and_portable_correct_score_positive() {
+        let board = small_board();
+        let mut saw_portable_correct = false;
+        for r in &board.rows {
+            match r.class {
+                GateClass::Correct => {
+                    assert!(r.tbmd_sem.is_some() && r.tbmd_src.is_some());
+                    // Φ follows the paper: 0 when the model is unsupported
+                    // anywhere in the fleet, so only fleet-wide-portable
+                    // correct candidates can rank above zero.
+                    if r.phi > 0.0 {
+                        saw_portable_correct = true;
+                        assert!(r.score > 0.0, "{}: {}", r.label, r.detail);
+                    } else {
+                        assert_eq!(r.score, 0.0);
+                    }
+                }
+                GateClass::BuildFail => {
+                    assert_eq!(r.score, 0.0);
+                    assert!(r.tbmd_sem.is_none());
+                }
+                _ => assert_eq!(r.score, 0.0, "{}: {}", r.label, r.detail),
+            }
+        }
+        assert!(saw_portable_correct, "no portable correct candidate in population");
+    }
+
+    #[test]
+    fn duplicate_sources_share_fingerprint_and_scores() {
+        let board = evaluate_ports(App::BabelStream, 40, 3).expect("evaluate");
+        let mut by_fp: HashMap<u64, Vec<&ScoredCandidate>> = HashMap::new();
+        for r in &board.rows {
+            by_fp.entry(r.fingerprint).or_default().push(r);
+        }
+        let dup = by_fp.values().find(|v| v.len() > 1).expect("generator emits duplicates");
+        for r in dup {
+            assert_eq!(r.class, dup[0].class);
+            assert_eq!(r.tbmd_sem, dup[0].tbmd_sem);
+        }
     }
 
     #[test]

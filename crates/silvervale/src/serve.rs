@@ -2,44 +2,29 @@
 //!
 //! [`AnalysisService`] owns a registry of in-memory codebase DBs and the
 //! content-addressed TED cache, and registers one handler per analysis
-//! verb on an `svserve` [`Router`].  The expensive requests (`compare`,
-//! `matrix`, `cluster`, `evaluate`) run `svmetrics`' own row, matrix and
-//! pair functions with the cache as their pair memo, so a session like
+//! verb on an `svserve` [`Router`].  The expensive requests run the
+//! library's own code with the cache as their pair memo — `compare`,
+//! `matrix` and `cluster` `svmetrics`' row and matrix, `evaluate` the one
+//! port scorer ([`pipeline::score_ports`]) — so a session like
 //! index → compare → cluster → compare computes each TED pair exactly
 //! once — and answers identically to the one-shot pipeline functions,
 //! bit for bit.
 
 use crate::db::CodebaseDb;
-use crate::pipeline::{self, measured_entries};
+use crate::pipeline::{self, measured_entries, GatedPort};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use svcluster::{cluster_rows, Heatmap};
 use svcorpus::App;
 use svdist::DistanceMatrix;
-use svmetrics::{
-    divergence_matrix, divergence_row, pair_divergence, Measured, Metric, PairArt, Variant,
-};
-use svperf::phi_all;
-use svport::{GateClass, Leaderboard, ScoredCandidate};
+use svmetrics::{divergence_matrix, divergence_row, Measured, Metric, Variant};
+use svport::Leaderboard;
 use svserve::svjson::Json;
-use svserve::{ArtifactStore, FanoutCtx, JobCtx, Router, ServeError, TedCache};
+use svserve::{ArtifactStore, Router, ServeError, TedCache};
 
 /// Default cache budget: 64 MiB of pair entries.
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
-
-/// Memoised gate outcome of one candidate source (keyed by its source
-/// fingerprint).  Divergences are deliberately *not* memoised here: TBMD
-/// always routes through the TED cache, so repeated evaluations surface
-/// as observable `cache.hits` while still skipping the expensive
-/// compile + interpret work.
-struct CandOutcome {
-    class: GateClass,
-    detail: String,
-    /// Comparison artefacts of the built candidate (`None` on build-fail).
-    sem: Option<PairArt>,
-    src: Option<PairArt>,
-}
 
 /// Shared state behind every handler.
 pub struct AnalysisService {
@@ -49,8 +34,10 @@ pub struct AnalysisService {
     /// and is served back verbatim by the `tree` blob handler (mmap'd,
     /// zero-copy decode on cold reads).
     store: Arc<ArtifactStore>,
-    /// Gate outcomes per candidate source fingerprint.
-    cand_memo: Mutex<HashMap<u64, Arc<CandOutcome>>>,
+    /// Gate outcomes per candidate source fingerprint.  TBMD is not kept
+    /// here: it always routes through the TED cache, so repeated
+    /// evaluations surface as observable `cache.hits`.
+    cand_memo: Mutex<HashMap<u64, Arc<GatedPort>>>,
     /// Serial baseline runs per app (the gate's comparison oracle — the
     /// corpus is deterministic, so one run per app serves every request).
     baseline_memo: Mutex<HashMap<String, Arc<svport::BaselineRun>>>,
@@ -209,7 +196,7 @@ impl AnalysisService {
         let svc = Arc::clone(self);
         router.register("chart", move |p| svc.handle_chart(p));
         let svc = Arc::clone(self);
-        router.register_fanout("evaluate", move |p, ctx| svc.handle_evaluate(p, ctx));
+        router.register("evaluate", move |p| svc.handle_evaluate(p));
         let svc = Arc::clone(self);
         router.register_blob("tree", move |p| svc.handle_tree(p));
         let svc = Arc::clone(self);
@@ -409,56 +396,31 @@ impl AnalysisService {
         Ok(b)
     }
 
-    /// Gate one candidate source, serving repeats from the memo; returns
-    /// the outcome with the built candidate's comparison artefacts.
+    /// Gate one candidate source, serving repeats from the memo.  The memo
+    /// keeps the outcome with the built candidate's fingerprinted
+    /// artefacts, never its `Unit`.
     fn gate_memoised(
         &self,
         app: App,
-        model: svcorpus::Model,
+        cand: &svport::Candidate,
         fp: u64,
-        source: &str,
         baseline: &svport::BaselineRun,
-    ) -> Arc<CandOutcome> {
+    ) -> Arc<GatedPort> {
         if let Some(hit) = lock_cand_memo(&self.cand_memo).get(&fp).cloned() {
             self.cand_memo_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.cand_builds.fetch_add(1, Ordering::Relaxed);
-        let cand = svport::Candidate {
-            id: 0,
-            model,
-            label: String::new(),
-            source: source.to_string(),
-            edits: Vec::new(),
-        };
-        let g = svport::gate(app, &cand, baseline);
-        let (sem, src) = match g.unit.as_ref() {
-            Some(u) => {
-                let m = Measured::new(u);
-                let art = |metric| PairArt::of(&m, metric, Variant::PLAIN, Some(&self.cache));
-                (Some(art(Metric::TSem)), Some(art(Metric::TSrc)))
-            }
-            None => (None, None),
-        };
-        let outcome = Arc::new(CandOutcome { class: g.class, detail: g.detail, sem, src });
-        lock_cand_memo(&self.cand_memo).insert(fp, Arc::clone(&outcome));
-        outcome
+        let port = Arc::new(GatedPort::new(svport::gate(app, cand, baseline), Some(&self.cache)));
+        lock_cand_memo(&self.cand_memo).insert(fp, Arc::clone(&port));
+        port
     }
 
-    /// The `evaluate` fan-out handler: generate a seeded population of
-    /// port candidates, gate + score each as its own pool job, and return
-    /// the ranked leaderboard.
-    ///
-    /// Sub-jobs are keyed by candidate *content* (source fingerprint), so
-    /// racing duplicate candidates collapse through the pool's in-flight
-    /// dedup, and each sub-job routes its TBMD through the TED cache —
-    /// warm re-evaluations skip the compile + interpret work via the
-    /// candidate memo while their divergences surface as cache hits.
-    fn handle_evaluate(
-        self: &Arc<Self>,
-        params: &Json,
-        ctx: &FanoutCtx<'_>,
-    ) -> Result<Json, ServeError> {
+    /// The `evaluate` handler: generate a seeded population of port
+    /// candidates and rank it with [`pipeline::score_ports`] — the memoised
+    /// gate skips the compile + interpret work of every source seen before,
+    /// and TBMD is served from the TED cache.
+    fn handle_evaluate(&self, params: &Json) -> Result<Json, ServeError> {
         let db = self.db_param(params)?;
         let app_name = str_param(params, "app")?;
         let app = parse_app(&app_name)
@@ -476,121 +438,20 @@ impl AnalysisService {
         let base_entry = db.entry(&base_label).ok_or_else(|| {
             ServeError::not_found(format!("no unit '{base_label}' in the database"))
         })?;
-        let base_m = Measured::of(&base_entry.artifacts);
-        let art = |metric| PairArt::of(&base_m, metric, Variant::PLAIN, Some(&self.cache));
-        let bases = Arc::new((art(Metric::TSem), art(Metric::TSrc)));
-
         let baseline = self.app_baseline(app)?;
         let cands = svport::generate(app, n, seed);
-        let fps: Vec<u64> = cands.iter().map(|c| svport::source_fingerprint(&c.source)).collect();
-        // One pool job per candidate, keyed by content: concurrent
-        // duplicates dedup in flight, sequential ones hit the memo/cache.
-        let results = ctx.run_all(cands.iter().zip(&fps).map(|(c, &fp)| {
-            let key = format!("evaluate.cand {} {fp:016x}", app.name());
-            let svc = Arc::clone(self);
-            let bases = Arc::clone(&bases);
-            let baseline = Arc::clone(&baseline);
-            let source = c.source.clone();
-            let model = c.model;
-            let job = move |_: &JobCtx| {
-                let out = svc.gate_memoised(app, model, fp, &source, &baseline);
-                // TBMD from the base to the candidate (Eq. 7 normalises
-                // by the candidate's tree), pairs served from the cache.
-                let tbmd = |metric, base: &PairArt, cand: &PairArt| {
-                    let d = pair_divergence(metric, Variant::PLAIN, base, cand, Some(&svc.cache));
-                    Json::Num(d.normalized())
-                };
-                let (tbmd_sem, tbmd_src) = match (&out.sem, &out.src) {
-                    (Some(sem), Some(src)) => {
-                        (tbmd(Metric::TSem, &bases.0, sem), tbmd(Metric::TSrc, &bases.1, src))
-                    }
-                    _ => (Json::Null, Json::Null),
-                };
-                Ok(Json::obj([
-                    ("class", Json::str(out.class.name())),
-                    ("detail", Json::str(out.detail.clone())),
-                    ("tbmd_sem", tbmd_sem),
-                    ("tbmd_src", tbmd_src),
-                    ("phi", Json::Num(phi_all(app, model))),
-                ]))
-            };
-            (key, job)
-        }))?;
-
-        let mut rows: Vec<ScoredCandidate> = Vec::with_capacity(cands.len());
-        for ((c, fp), r) in cands.iter().zip(fps).zip(&results) {
-            let class = r
-                .get("class")
-                .and_then(Json::as_str)
-                .and_then(GateClass::parse)
-                .ok_or_else(|| ServeError::internal("bad candidate class"))?;
-            let tbmd_sem = r.get("tbmd_sem").and_then(Json::as_f64);
-            let tbmd_src = r.get("tbmd_src").and_then(Json::as_f64);
-            let phi = r.get("phi").and_then(Json::as_f64).unwrap_or(0.0);
-            rows.push(ScoredCandidate {
-                id: c.id,
-                label: c.label.clone(),
-                model: c.model,
-                class,
-                detail: r.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
-                fingerprint: fp,
-                edits: c.edits.clone(),
-                tbmd_sem,
-                tbmd_src,
-                phi,
-                score: svport::score_value(class, phi, tbmd_sem),
-            });
-        }
-        rows.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-        let board = Leaderboard { app, seed, rows };
-
-        let counts = Json::Object(
-            board
-                .class_counts()
-                .iter()
-                .map(|(c, k)| (c.name().to_string(), Json::Num(*k as f64)))
-                .collect(),
-        );
-        let rows_json = Json::Array(
-            board
-                .rows
-                .iter()
-                .map(|r| {
-                    Json::obj([
-                        ("label", Json::str(r.label.clone())),
-                        ("model", Json::str(r.model.name())),
-                        ("class", Json::str(r.class.name())),
-                        ("score", Json::Num(r.score)),
-                        ("phi", Json::Num(r.phi)),
-                        ("tbmd_sem", r.tbmd_sem.map(Json::Num).unwrap_or(Json::Null)),
-                        ("tbmd_src", r.tbmd_src.map(Json::Num).unwrap_or(Json::Null)),
-                        ("fingerprint", Json::str(format!("{:016x}", r.fingerprint))),
-                        ("edits", Json::str(r.edits.join("; "))),
-                    ])
-                })
-                .collect(),
-        );
-        let mut reply = vec![
-            ("app".to_string(), Json::str(app.name())),
-            ("seed".to_string(), Json::Num(seed as f64)),
-            ("candidates".to_string(), Json::Num(board.rows.len() as f64)),
-            ("counts".to_string(), counts),
-            ("rows".to_string(), rows_json),
-            ("text".to_string(), Json::str(board.render())),
-            ("chart".to_string(), Json::str(board.nav_chart().render())),
-        ];
-        if bool_param(params, "csv") {
-            reply.push(("csv".to_string(), Json::str(board.to_csv())));
-        }
-        Ok(Json::Object(reply.into_iter().collect()))
+        let gate = |c: &svport::Candidate, fp| self.gate_memoised(app, c, fp, &baseline);
+        let base = Measured::of(&base_entry.artifacts);
+        let board = pipeline::score_ports(app, seed, &cands, &base, gate, Some(&self.cache));
+        Ok(evaluate_json(&board, bool_param(params, "csv")))
     }
 }
 
-/// Poison-tolerant locks for the evaluate fan-out state (same rationale
-/// as [`lock_dbs`]).
+/// Poison-tolerant locks for the evaluate memos (same rationale as
+/// [`lock_dbs`]).
 fn lock_cand_memo(
-    m: &Mutex<HashMap<u64, Arc<CandOutcome>>>,
-) -> MutexGuard<'_, HashMap<u64, Arc<CandOutcome>>> {
+    m: &Mutex<HashMap<u64, Arc<GatedPort>>>,
+) -> MutexGuard<'_, HashMap<u64, Arc<GatedPort>>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -598,6 +459,44 @@ fn lock_baseline_memo(
     m: &Mutex<HashMap<String, Arc<svport::BaselineRun>>>,
 ) -> MutexGuard<'_, HashMap<String, Arc<svport::BaselineRun>>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The `evaluate` reply: the leaderboard's rows, class counts and
+/// renderings (plus the CSV when asked).
+fn evaluate_json(board: &Leaderboard, csv: bool) -> Json {
+    let counts = Json::Object(
+        board
+            .class_counts()
+            .iter()
+            .map(|(c, k)| (c.name().to_string(), Json::Num(*k as f64)))
+            .collect(),
+    );
+    let rows = board.rows.iter().map(|r| {
+        Json::obj([
+            ("label", Json::str(r.label.clone())),
+            ("model", Json::str(r.model.name())),
+            ("class", Json::str(r.class.name())),
+            ("score", Json::Num(r.score)),
+            ("phi", Json::Num(r.phi)),
+            ("tbmd_sem", r.tbmd_sem.map(Json::Num).unwrap_or(Json::Null)),
+            ("tbmd_src", r.tbmd_src.map(Json::Num).unwrap_or(Json::Null)),
+            ("fingerprint", Json::str(format!("{:016x}", r.fingerprint))),
+            ("edits", Json::str(r.edits.join("; "))),
+        ])
+    });
+    let mut reply = vec![
+        ("app", Json::str(board.app.name())),
+        ("seed", Json::Num(board.seed as f64)),
+        ("candidates", Json::Num(board.rows.len() as f64)),
+        ("counts", counts),
+        ("rows", Json::Array(rows.collect())),
+        ("text", Json::str(board.render())),
+        ("chart", Json::str(board.nav_chart().render())),
+    ];
+    if csv {
+        reply.push(("csv", Json::str(board.to_csv())));
+    }
+    Json::Object(reply.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// The `compare` reply: divergences from `base`, least divergent first.

@@ -123,25 +123,12 @@ impl DistanceMatrix {
     }
 
     /// Build a matrix by evaluating `f(i, j)` for every `i < j` pair, fanned
-    /// out over all cores via `svpar::par_tasks` (dynamic work-stealing
-    /// cursor — pair costs are wildly uneven when `f` is a TED).
-    ///
-    /// Produces results bit-identical to [`DistanceMatrix::from_fn`]: each
-    /// pair's value is computed by the same closure in isolation and written
-    /// to its own slot, so no ordering or accumulation effects exist.
-    pub fn from_fn_par(
-        labels: Vec<String>,
-        f: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> DistanceMatrix {
-        // Uniform cost estimate: the stable sort leaves row-major order
-        // untouched, so this is exactly the old scheduling.
-        Self::from_fn_par_lpt(labels, |_, _| 0, f)
-    }
-
-    /// [`DistanceMatrix::from_fn_par`] with longest-processing-time-first
-    /// scheduling through `svpar::par_tasks_lpt`: pairs are claimed in
-    /// descending `cost(i, j)` order, so the most expensive DPs start first
-    /// and the cheap tail backfills the stragglers.
+    /// out over all cores with longest-processing-time-first scheduling
+    /// through `svpar::par_tasks_lpt`: pairs are claimed in descending
+    /// `cost(i, j)` order, so the most expensive DPs start first and the
+    /// cheap tail backfills the stragglers (pair costs are wildly uneven
+    /// when `f` is a TED).  Each pair's value is computed by the same
+    /// closure in isolation and written to its own slot.
     ///
     /// `cost` only shapes the schedule, never the values: the matrix is
     /// bit-identical to [`DistanceMatrix::from_fn`] for any cost function.
@@ -156,11 +143,15 @@ impl DistanceMatrix {
         let pairs = Self::upper_pairs(labels.len());
         // Per-pair spans make `svpar` utilisation visible in a trace: each
         // worker thread's lane shows which (i, j) cells it claimed and how
-        // unevenly the TED costs spread.
+        // unevenly the TED costs spread.  Every task runs under the
+        // caller's trace context, so a served request's trace holds the
+        // pairs its helper threads computed too.
+        let trace = svtrace::ctx::capture();
         let dists = svpar::par_tasks_lpt(
             &pairs,
             |&(i, j)| cost(i, j),
             |&(i, j)| {
+                let _t = svtrace::ctx::install(trace.clone());
                 let _s = svtrace::span!("matrix.pair", i = i, j = j);
                 f(i, j)
             },
@@ -314,7 +305,8 @@ mod tests {
 
     #[test]
     fn from_fn_par_identical_to_sequential() {
-        // Uneven per-pair work; compare bitwise across thread counts.
+        // Uneven per-pair work under a uniform schedule (row-major claim
+        // order); compare bitwise across thread counts.
         let labels: Vec<String> = (0..12).map(|i| format!("m{i}")).collect();
         let cost = |i: usize, j: usize| {
             let mut acc = 0.0f64;
@@ -326,7 +318,7 @@ mod tests {
         let seq = DistanceMatrix::from_fn(labels.clone(), cost);
         for threads in [1, 2, 4, 8] {
             svpar::set_threads(threads);
-            let par = DistanceMatrix::from_fn_par(labels.clone(), cost);
+            let par = DistanceMatrix::from_fn_par_lpt(labels.clone(), |_, _| 0, cost);
             assert_eq!(par, seq, "threads={threads}");
         }
         svpar::set_threads(0);

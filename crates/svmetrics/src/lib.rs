@@ -360,7 +360,15 @@ pub fn divergence_row(
         })
     };
     if memoised(metric) && !memo.is_some_and(held) {
-        svpar::par_tasks_lpt(&arts, |a| pair_cost(&b, a), row)
+        let trace = svtrace::ctx::capture();
+        svpar::par_tasks_lpt(
+            &arts,
+            |a| pair_cost(&b, a),
+            |a| {
+                let _t = svtrace::ctx::install(trace.clone());
+                row(a)
+            },
+        )
     } else {
         arts.iter().map(row).collect()
     }
@@ -853,12 +861,17 @@ pub fn approx_tree_matrix(
     };
 
     // 2. Lower bounds between representatives.  Profiles are memoized on
-    // the SharedTrees; rows fan out across cores.
+    // the SharedTrees; rows fan out across cores, each task under the
+    // caller's trace context.
+    let trace = svtrace::ctx::capture();
+    let traced = || svtrace::ctx::install(trace.clone());
     svpar::par_tasks(&reps, |&r| {
+        let _t = traced();
         trees[r].profile();
     });
     let row_ids: Vec<usize> = (0..g).collect();
     let lb_rows: Vec<Vec<f64>> = svpar::par_tasks(&row_ids, |&gi| {
+        let _t = traced();
         (gi + 1..g)
             .map(|gj| {
                 let lb = svdist::pqgram_lb(
@@ -902,6 +915,7 @@ pub fn approx_tree_matrix(
         }
     }
     let resolved: Vec<(f64, bool)> = svpar::par_tasks(&candidates, |&(gi, gj)| {
+        let _t = traced();
         let (a, b) = (&trees[reps[gi]], &trees[reps[gj]]);
         let dmax = a.size().max(b.size()).max(1) as u64;
         let tau = (frontier * dmax as f64).floor() as u64;

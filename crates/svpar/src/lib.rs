@@ -103,27 +103,6 @@ fn claim_all(count: usize, participants: usize, claim: impl Fn(usize) + Sync) {
     pool::run(participants.min(count).saturating_sub(1), &body);
 }
 
-/// Run `f(i)` for every `i in 0..n`, in parallel over contiguous chunks.
-///
-/// `f` must be safe to call concurrently for distinct `i` (it only gets
-/// shared access to captured state).
-pub fn par_for(n: usize, f: impl Fn(usize) + Sync) {
-    let threads = num_threads();
-    if n < PAR_THRESHOLD || threads <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let ranges = split_ranges(n, threads);
-    claim_all(ranges.len(), threads, |k| {
-        let (lo, hi) = ranges[k];
-        for i in lo..hi {
-            f(i);
-        }
-    });
-}
-
 /// Process disjoint mutable chunks of `data` in parallel.  Each worker gets
 /// `(chunk_start_index, chunk)`.
 pub fn par_chunks_mut<T: Send>(data: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
@@ -173,26 +152,6 @@ pub fn par_map_reduce<R: Send>(
         unsafe { partials.put(k, acc) };
     });
     partials.into_vec().into_iter().fold(identity(), reduce)
-}
-
-/// Parallel map into a fresh `Vec`, preserving order.
-pub fn par_map_collect<T: Send + Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = num_threads();
-    if items.len() < 64 || threads <= 1 {
-        // Task-style maps (e.g. one TED per model pair) are heavy per item,
-        // so the parallel cutoff here is much lower than PAR_THRESHOLD.
-        return items.iter().map(&f).collect();
-    }
-    let ranges = split_ranges(items.len(), threads);
-    let out = Slots::new(items.len());
-    claim_all(ranges.len(), threads, |k| {
-        let (lo, hi) = ranges[k];
-        for (i, item) in (lo..hi).zip(&items[lo..hi]) {
-            // SAFETY: chunk k, and so index i, is claimed exactly once.
-            unsafe { out.put(i, f(item)) };
-        }
-    });
-    out.into_vec()
 }
 
 /// Parallel map over *heavy tasks* — always parallelises regardless of item
@@ -281,7 +240,6 @@ impl<R> Slots<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn split_ranges_covers_exactly() {
@@ -305,25 +263,6 @@ mod tests {
                 assert!(mx - mn <= 1);
             }
         }
-    }
-
-    #[test]
-    fn par_for_touches_every_index() {
-        let n = 100_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_for(n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_for_small_input_sequential_path() {
-        let hits: Vec<AtomicU64> = (0..10).map(|_| AtomicU64::new(0)).collect();
-        par_for(10, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -354,13 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_collect_preserves_order() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let out = par_map_collect(&items, |&x| x * 3 + 1);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 * 3 + 1));
-    }
-
-    #[test]
     fn par_tasks_preserves_order_with_uneven_work() {
         let items: Vec<usize> = (0..64).collect();
         let out = par_tasks(&items, |&x| {
@@ -386,9 +318,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        par_for(0, |_| panic!("must not be called"));
-        let out: Vec<u8> = par_map_collect::<u8, u8>(&[], |_| panic!("no"));
-        assert!(out.is_empty());
+        par_chunks_mut::<u8>(&mut [], |_, c| assert!(c.is_empty()));
         let r = par_map_reduce(0, || 7u32, |_| 0, |a, b| a + b);
         assert_eq!(r, 7);
         let t: Vec<u8> = par_tasks::<u8, u8>(&[], |_| 0);

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::{self, ThreadId};
 use svpar::{
-    num_threads, par_chunks_mut, par_for, par_map_collect, par_map_reduce, par_tasks,
-    par_tasks_lpt, set_threads, split_ranges,
+    num_threads, par_chunks_mut, par_map_reduce, par_tasks, par_tasks_lpt, set_threads,
+    split_ranges,
 };
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -63,15 +63,6 @@ fn every_entry_equals_its_sequential_loop() {
         let _t = threads(t);
         let n = 3 * svpar::PAR_THRESHOLD + 7;
 
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_for(n, |i| {
-            hits[i].fetch_add(work(i as u64) | 1, Ordering::Relaxed);
-        });
-        assert!(hits
-            .iter()
-            .enumerate()
-            .all(|(i, h)| h.load(Ordering::Relaxed) == work(i as u64) | 1));
-
         let mut v = vec![0u64; n];
         par_chunks_mut(&mut v, |off, chunk| {
             for (k, x) in chunk.iter_mut().enumerate() {
@@ -86,10 +77,10 @@ fn every_entry_equals_its_sequential_loop() {
         assert_eq!(sum.to_bits(), expect.to_bits(), "{t} participants");
 
         let items: Vec<u64> = (0..1000).collect();
-        assert_eq!(
-            par_map_collect(&items, |&x| work(x)),
-            items.iter().map(|&x| work(x)).collect::<Vec<_>>()
-        );
+        // Every item runs exactly once.
+        let hits: Vec<AtomicU64> = items.iter().map(|_| AtomicU64::new(0)).collect();
+        par_tasks(&items, |&x| hits[x as usize].fetch_add(work(x) | 1, Ordering::Relaxed));
+        assert!(hits.iter().zip(&items).all(|(h, &x)| h.load(Ordering::Relaxed) == work(x) | 1));
         assert_eq!(
             par_tasks(&items, |&x| work(x)),
             items.iter().map(|&x| work(x)).collect::<Vec<_>>()
@@ -245,11 +236,9 @@ fn one_thread_runs_on_the_caller_only() {
     let caller = thread::current().id();
     let on_caller = || assert_eq!(thread::current().id(), caller);
     let n = 2 * svpar::PAR_THRESHOLD;
-    par_for(n, |_| on_caller());
     par_chunks_mut(&mut vec![0u8; n], |_, _| on_caller());
     par_map_reduce(n, || (), |_| on_caller(), |_, _| ());
     let items: Vec<u32> = (0..200).collect();
-    par_map_collect(&items, |_| on_caller());
     par_tasks(&items, |_| on_caller());
     par_tasks_lpt(&items, |&x| x.into(), |_| on_caller());
 }

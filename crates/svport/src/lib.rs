@@ -16,16 +16,16 @@
 //!   interprets it under `svexec` with a step budget, and classifies it
 //!   build-fail / runtime-fail / wrong-answer / correct against the serial
 //!   baseline's checksum;
-//! * [`score`] — the scoring pipeline: TBMD against the baseline through
-//!   `svmetrics::divergence_matrix` (shared-tree artefacts, LPT-scheduled
-//!   TED fan-out), Φ from the `svperf` fleet simulator, combined into a
-//!   ranked leaderboard (text + CSV) and placed on the existing
+//! * [`score`] — the ranked leaderboard (text + CSV) of scored
+//!   candidates: TBMD against the baseline, Φ from the `svperf` fleet
+//!   simulator, and the rank score combining them, placed on the existing
 //!   `NavigationChart`.
 //!
-//! The `evaluate` service handler in `svserve`/`silvervale` drives the
-//! same pipeline as one request fanning out to per-candidate jobs on the
-//! `JobPool`, which is the realistic heavy-traffic driver for the cache,
-//! in-flight dedup, deadline, and shedding machinery.
+//! The one scorer that gates a population and fills the leaderboard is
+//! `silvervale::score_ports`: one `svpar` task per unique candidate (this
+//! crate does not depend on `svpar`).  The offline `silvervale evaluate`
+//! calls it with the plain [`gate()`]; the served `evaluate` calls it as one
+//! pool job, with its memoised gate and the TED cache as the pair memo.
 
 pub mod gate;
 pub mod gen;
@@ -36,9 +36,7 @@ pub use gate::{
     PortError, STEP_LIMIT,
 };
 pub use gen::{generate, parallel_models, source_fingerprint, Candidate, Dialect};
-pub use score::{
-    evaluate, score_population, score_population_with, score_value, Leaderboard, ScoredCandidate,
-};
+pub use score::{score_value, Leaderboard, ScoredCandidate};
 
 #[cfg(test)]
 mod proptests {

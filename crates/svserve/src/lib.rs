@@ -46,10 +46,10 @@ pub use cache::{CacheStats, TedCache};
 pub use client::{Client, RetryPolicy, Wire};
 pub use faults::{Fault, FaultPlan};
 pub use proto::{id_hex, parse_id_hex, trace_json, Request, ServeError, MAX_FRAME};
-pub use sched::{FanoutCtx, JobCtx, JobPool, PoolConfig, PoolStats, Ticket};
+pub use sched::{JobCtx, JobPool, PoolConfig, PoolStats, Ticket};
 pub use server::{
-    render_slowlog, render_stats, render_top, serve, serve_with, snapshot_json, FanoutHandler,
-    Router, ServeConfig, ServeHandle,
+    render_slowlog, render_stats, render_top, serve, serve_with, snapshot_json, Router,
+    ServeConfig, ServeHandle,
 };
 pub use store::ArtifactStore;
 pub use tracewire::merged_chrome_trace;

@@ -10,8 +10,7 @@
 //! as a frame whose handler path is `process_request`, so deadlines,
 //! shedding, drain, tracing, and fault injection apply to both wires
 //! alike.  Routed methods run as jobs on the same pool; the frame's
-//! thread blocks on their tickets, which is what lets fan-out handlers
-//! wait on their sub-jobs.
+//! thread blocks on their tickets.
 //!
 //! Per-connection state machine: while a request is in flight the
 //! connection's `EPOLLIN` interest is dropped, so a client gets exactly

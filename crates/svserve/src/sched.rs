@@ -620,48 +620,6 @@ fn thread_main(shared: Arc<Shared>) {
     }
 }
 
-/// Sub-jobs of one fan-out request outstanding at once: enough to keep
-/// every worker busy, far under the default `max_queue`.
-const FANOUT_WINDOW: usize = 32;
-
-/// Pool access for fan-out handlers, which run on the request's own
-/// thread (a handler running *as* a job that blocked on sub-jobs could
-/// deadlock the job slots).  Each sub-job inherits the server's deadline,
-/// dedup-by-key, shedding, and panic isolation.
-pub struct FanoutCtx<'a> {
-    pub(crate) pool: &'a JobPool,
-    pub(crate) deadline: Option<Duration>,
-}
-
-impl FanoutCtx<'_> {
-    /// Run one sub-job per `(key, job)` item and return the results in
-    /// item order; equal keys execute once.  Submissions come from the
-    /// calling thread, at most [`FANOUT_WINDOW`] outstanding, so the
-    /// sub-jobs' spans parent under the request span.  After an error the
-    /// outstanding sub-jobs are given up, nothing more is submitted, and
-    /// the first error in item order is returned.
-    pub fn run_all<F>(
-        &self,
-        items: impl IntoIterator<Item = (String, F)>,
-    ) -> Result<Vec<Json>, ServeError>
-    where
-        F: FnOnce(&JobCtx) -> JobResult + Send + 'static,
-    {
-        let mut items = items.into_iter();
-        let mut window = VecDeque::with_capacity(FANOUT_WINDOW);
-        let mut results = Vec::with_capacity(items.size_hint().0);
-        loop {
-            window.extend(items.by_ref().take(FANOUT_WINDOW - window.len()).map(|(key, job)| {
-                self.pool.submit(key, self.deadline.map(|d| Instant::now() + d), job)
-            }));
-            match window.pop_front() {
-                Some(ticket) => results.push(ticket.wait()?),
-                None => return Ok(results),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,49 +1025,5 @@ mod tests {
         drop(pool);
         handed_over.wait();
         wait_for("the drop to return", || (returned.load(Ordering::SeqCst) == 1).then_some(()));
-    }
-
-    fn fanout_items(
-        n: usize,
-        fail: impl Fn(usize) -> Option<Duration> + Send + Sync + 'static,
-    ) -> impl Iterator<Item = (String, impl FnOnce(&JobCtx) -> JobResult + Send + 'static)> {
-        let fail = Arc::new(fail);
-        (0..n).map(move |i| {
-            let fail = Arc::clone(&fail);
-            (format!("item {i}"), move |_: &JobCtx| match fail(i) {
-                None => Ok(Json::Num(i as f64)),
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    Err(ServeError::internal(format!("item {i} failed")))
-                }
-            })
-        })
-    }
-
-    #[test]
-    fn run_all_keeps_item_order_under_the_default_queue_bound() {
-        let pool = JobPool::new(2);
-        let ctx = FanoutCtx { pool: &pool, deadline: None };
-        let results = ctx.run_all(fanout_items(2_000, |_| None)).unwrap();
-        let want: Vec<Json> = (0..2_000).map(|i| Json::Num(i as f64)).collect();
-        assert_eq!(results, want);
-        let s = pool.stats();
-        assert_eq!((s.executed, s.shed), (2_000, 0), "{s:?}");
-    }
-
-    #[test]
-    fn run_all_returns_the_first_error_in_item_order() {
-        let pool = JobPool::new(2);
-        let ctx = FanoutCtx { pool: &pool, deadline: None };
-        // Item 3 fails after item 7 has failed, so the first error in
-        // time is item 7's.
-        let e = ctx
-            .run_all(fanout_items(40, |i| match i {
-                3 => Some(Duration::from_millis(300)),
-                7 => Some(Duration::ZERO),
-                _ => None,
-            }))
-            .unwrap_err();
-        assert_eq!(e.message, "item 3 failed");
     }
 }

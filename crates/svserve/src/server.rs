@@ -22,7 +22,7 @@ use crate::proto::{
     id_hex, parse_id_hex, parse_request, response_err, response_ok, FrameRead, LineAccum, Request,
     ServeError,
 };
-use crate::sched::{FanoutCtx, JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
+use crate::sched::{JobPool, PoolConfig, DEFAULT_MAX_QUEUE};
 use crate::svjson::Json;
 use crate::tracewire;
 use std::collections::HashMap;
@@ -88,11 +88,6 @@ impl Default for ServeConfig {
 /// A registered request handler.
 pub type Handler = Arc<dyn Fn(&Json) -> Result<Json, ServeError> + Send + Sync>;
 
-/// A registered fan-out handler: runs on the request's own thread and
-/// submits its per-item jobs through the [`FanoutCtx`].
-pub type FanoutHandler =
-    Arc<dyn Fn(&Json, &FanoutCtx<'_>) -> Result<Json, ServeError> + Send + Sync>;
-
 /// A registered blob handler: returns JSON metadata plus an opaque byte
 /// payload (svpack, typically).  On the binary wire the bytes ride the
 /// frame verbatim; the JSON wire folds them into the result as
@@ -107,7 +102,6 @@ pub(crate) type DispatchReply = Result<(Json, Option<Arc<Vec<u8>>>), ServeError>
 #[derive(Default, Clone)]
 pub struct Router {
     handlers: HashMap<String, Handler>,
-    fanout: HashMap<String, FanoutHandler>,
     blob: HashMap<String, BlobHandler>,
     app_stats: Option<Arc<dyn Fn() -> Json + Send + Sync>>,
     app_metrics: Option<Arc<dyn Fn() -> MetricsSnapshot + Send + Sync>>,
@@ -127,25 +121,11 @@ impl Router {
         self.handlers.insert(method.into(), Arc::new(f));
     }
 
-    /// Register a fan-out handler under `method` (replacing any previous
-    /// fan-out handler).  Unlike [`register`](Router::register)ed methods,
-    /// which execute as single pool jobs, a fan-out handler runs on the
-    /// request's own thread and fans out per-item sub-jobs via
-    /// [`FanoutCtx::run_all`].
-    /// A plain handler under the same name wins the dispatch.
-    pub fn register_fanout(
-        &mut self,
-        method: impl Into<String>,
-        f: impl Fn(&Json, &FanoutCtx<'_>) -> Result<Json, ServeError> + Send + Sync + 'static,
-    ) {
-        self.fanout.insert(method.into(), Arc::new(f));
-    }
-
     /// Register a blob handler under `method`: besides its JSON result
     /// it returns opaque bytes, carried verbatim on the binary wire and
     /// as `svpack_hex` on the JSON one.  Blob handlers run inline on the
     /// serving thread (they are expected to be store lookups, not
-    /// computations); a plain or fan-out handler of the same name wins.
+    /// computations); a plain handler of the same name wins.
     pub fn register_blob(
         &mut self,
         method: impl Into<String>,
@@ -170,13 +150,7 @@ impl Router {
     /// Registered method names (sorted), for error messages and docs.
     pub fn methods(&self) -> Vec<String> {
         let mut m: Vec<String> = self.handlers.keys().cloned().collect();
-        m.extend(self.fanout.keys().filter(|k| !self.handlers.contains_key(*k)).cloned());
-        m.extend(
-            self.blob
-                .keys()
-                .filter(|k| !self.handlers.contains_key(*k) && !self.fanout.contains_key(*k))
-                .cloned(),
-        );
+        m.extend(self.blob.keys().filter(|k| !self.handlers.contains_key(*k)).cloned());
         m.sort();
         m
     }
@@ -393,20 +367,11 @@ impl ServerState {
                 Ok(Json::str("shutting down"))
             }
             _ => match self.router.handlers.get(method) {
-                None => match self.router.fanout.get(method) {
-                    None => match self.router.blob.get(method) {
-                        None => Err(ServeError::unknown_method(method)),
-                        // Blob handlers run inline: store lookups, not
-                        // computations.
-                        Some(handler) => return handler(params).map(|(j, b)| (j, Some(b))),
-                    },
-                    Some(handler) => {
-                        // Fan-out handlers run inline on this request's
-                        // thread; their sub-jobs go through the pool (and
-                        // its dedup/deadline/shedding) via the context.
-                        let ctx = FanoutCtx { pool: &self.pool, deadline: self.deadline };
-                        handler(params, &ctx)
-                    }
+                None => match self.router.blob.get(method) {
+                    None => Err(ServeError::unknown_method(method)),
+                    // Blob handlers run inline: store lookups, not
+                    // computations.
+                    Some(handler) => return handler(params).map(|(j, b)| (j, Some(b))),
                 },
                 Some(handler) => {
                     // Content identity of the job: method + canonical
@@ -1031,42 +996,6 @@ mod tests {
         state.pool.begin_drain();
         let draining = state.dispatch("health", &Json::Null).unwrap();
         assert_eq!(draining.get("status").unwrap(), &Json::str("draining"));
-        h.shutdown();
-    }
-
-    #[test]
-    fn fanout_handler_runs_inline_and_dedups_subjobs() {
-        let mut r = Router::new();
-        // Fan 8 sub-jobs with only 4 distinct keys through a 1-worker
-        // pool: must not deadlock (the handler itself holds no job slot),
-        // and concurrent duplicates may collapse via in-flight dedup.
-        r.register_fanout("fan", |p, ctx| {
-            let n = p.get("n").and_then(Json::as_f64).unwrap_or(8.0) as usize;
-            let items = (0..n).map(|i| {
-                (format!("fan.item {}", i % 4), move |_: &crate::JobCtx| {
-                    Ok(Json::Num((i % 4) as f64))
-                })
-            });
-            let results = ctx.run_all(items)?;
-            // Results come back in item order, deduped or not.
-            let want: Vec<Json> = (0..n).map(|i| Json::Num((i % 4) as f64)).collect();
-            assert_eq!(results, want);
-            Ok(Json::Num(results.iter().filter_map(Json::as_f64).sum()))
-        });
-        let h = serve("127.0.0.1:0", r, 1).unwrap();
-        let state = Arc::clone(&h.state);
-        let v = state.dispatch("fan", &Json::obj([("n", Json::Num(8.0))])).unwrap();
-        // Every sub-job resolves to its key's value whether executed or
-        // deduped: 2 * (0+1+2+3).
-        assert_eq!(v, Json::Num(12.0));
-        let p = state.pool.stats();
-        assert_eq!(p.submitted, 8);
-        assert_eq!(p.executed + p.deduped, 8);
-        // Fan-out methods are advertised.
-        let methods = state.dispatch("methods", &Json::Null).unwrap();
-        let names: Vec<&str> =
-            methods.as_array().unwrap().iter().filter_map(Json::as_str).collect();
-        assert!(names.contains(&"fan"));
         h.shutdown();
     }
 

@@ -7,13 +7,14 @@
 //! cargo run --release --example port_ranking
 //! ```
 
+use silvervale::evaluate_ports;
 use svcorpus::App;
-use svport::{evaluate, GateClass};
+use svport::GateClass;
 
 fn main() {
     let app = App::BabelStream;
     let (n, seed) = (32, 42);
-    let board = evaluate(app, n, seed).expect("evaluation failed");
+    let board = evaluate_ports(app, n, seed).expect("evaluation failed");
 
     println!("{}", board.render());
     println!("{}", board.nav_chart().render());

@@ -1,10 +1,12 @@
 //! Distributed tracing end-to-end: a traced client request against a
 //! live TCP server must come back with a trace id that finds the
-//! server's span tree via the `trace` method, pool sub-jobs parented
+//! server's span tree via the `trace` method, the pool job parented
 //! under the request span, and a merged Chrome trace with one pid lane
 //! per process.  The flight recorder's tail-sampling is exercised with
 //! an injected delay: the slow request lands in `slowlog`, fast ones
-//! don't.
+//! don't.  Work a request fans out over `svpar` helper threads records
+//! into the request's trace too: every pair of a served matrix, every
+//! gate of a served `evaluate`.
 //!
 //! Caveat: client and server share this test process, so the *global*
 //! span collector sees both sides at once — assertions on the local
@@ -63,8 +65,8 @@ fn traced_request_merges_client_and_server_spans() {
         .unwrap();
     let matrix_tid = client.last_trace_id().expect("matrix call was traced");
 
-    // The evaluate fan-out: sub-jobs run as their own pool jobs and must
-    // still land in the same trace.
+    // `evaluate` runs as a pool job on another thread and must still land
+    // in the same trace.
     client
         .call(
             "evaluate",
@@ -94,7 +96,7 @@ fn traced_request_merges_client_and_server_spans() {
         .iter()
         .filter(|s| s.get("name").and_then(Json::as_str) == Some("pool.execute"))
         .collect();
-    assert!(!executes.is_empty(), "evaluate sub-jobs recorded pool.execute spans");
+    assert!(!executes.is_empty(), "evaluate's pool job recorded a pool.execute span");
     for e in &executes {
         assert_eq!(e.get("trace").and_then(Json::as_str), Some(id_hex(tid).as_str()));
         let parent = e.get("parent").and_then(Json::as_str).unwrap();
@@ -124,6 +126,83 @@ fn traced_request_merges_client_and_server_spans() {
     // The merged document is valid JSON by the repo's own parser.
     silvervale::svjson::parse(&merged).expect("merged trace parses");
 
+    handle.shutdown();
+}
+
+/// The server's recorded spans of the client's last traced call, and the
+/// span id of its `serve.request`.
+fn recorded_spans(client: &mut Client) -> (Vec<Json>, String) {
+    let tid = client.last_trace_id().expect("the call was traced");
+    let record = client.call("trace", Json::obj([("id", Json::str(id_hex(tid)))])).unwrap();
+    let spans = record.get("spans").and_then(Json::as_array).unwrap().to_vec();
+    let request = spans
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("serve.request"))
+        .and_then(|s| s.get("span").and_then(Json::as_str))
+        .expect("server recorded the request span")
+        .to_string();
+    (spans, request)
+}
+
+/// The spans named `name`, each checked to sit under `request`.
+fn spans_under<'a>(spans: &'a [Json], request: &str, name: &str) -> Vec<&'a Json> {
+    let all: Vec<&Json> = spans.iter().collect();
+    let named: Vec<&Json> =
+        spans.iter().filter(|s| s.get("name").and_then(Json::as_str) == Some(name)).collect();
+    for s in &named {
+        let parent = s.get("parent").and_then(Json::as_str).unwrap();
+        assert!(has_ancestor(&all, parent, request), "{name} parents under serve.request");
+    }
+    named
+}
+
+#[test]
+fn traced_matrix_records_every_pair_under_the_request() {
+    let (handle, _service) = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.call("index", Json::obj([("app", Json::str("babelstream"))])).unwrap();
+    client.set_tracing(true);
+    client
+        .call(
+            "matrix",
+            Json::obj([("db", Json::str("babelstream")), ("metric", Json::str("t_sem"))]),
+        )
+        .unwrap();
+    let (spans, request) = recorded_spans(&mut client);
+    // Ten models, 45 pairs, whichever thread computed each one.
+    let pairs = spans_under(&spans, &request, "matrix.pair");
+    assert_eq!(pairs.len(), 10 * 9 / 2, "every matrix.pair span is in the request's trace");
+    handle.shutdown();
+}
+
+#[test]
+fn traced_evaluate_records_one_gate_per_built_candidate() {
+    let (handle, _service) = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.call("index", Json::obj([("app", Json::str("babelstream"))])).unwrap();
+    let builds = |client: &mut Client| {
+        let m = client.call("metrics", Json::Null).unwrap();
+        m.get("counters").and_then(|c| c.get("service.cand_builds")).and_then(Json::as_f64)
+    };
+    let before = builds(&mut client).unwrap_or(0.0);
+    client.set_tracing(true);
+    client
+        .call(
+            "evaluate",
+            Json::obj([
+                ("db", Json::str("babelstream")),
+                ("app", Json::str("babelstream")),
+                ("candidates", Json::Num(16.0)),
+                ("seed", Json::Num(2.0)),
+            ]),
+        )
+        .unwrap();
+    let (spans, request) = recorded_spans(&mut client);
+    client.set_tracing(false);
+    let built = builds(&mut client).unwrap() - before;
+    assert!(built >= 2.0, "the population builds several candidates");
+    let gates = spans_under(&spans, &request, "port.gate");
+    assert_eq!(gates.len() as f64, built, "one port.gate span per candidate built");
     handle.shutdown();
 }
 

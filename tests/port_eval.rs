@@ -1,13 +1,18 @@
-//! Live-server smoke test for the `evaluate` fan-out: a seeded candidate
-//! population is ranked end-to-end through a real TCP server, one pool
-//! job per candidate, with the correctness gate filtering wrong answers,
-//! deterministic output per seed, and warm re-evaluation collapsing into
-//! the candidate memo + TED cache (observable via the `metrics` builtin).
+//! Live-server smoke test for `evaluate`: a seeded candidate population
+//! is ranked end-to-end through a real TCP server as one pool job, with
+//! the correctness gate filtering wrong answers, deterministic output per
+//! seed, and warm re-evaluation collapsing into the candidate memo + TED
+//! cache (observable via the `metrics` builtin).  The offline scorer is
+//! pinned, and agrees with the served one bit for bit.
 
 use silvervale::serve::AnalysisService;
 use silvervale::svjson::Json;
+use silvervale::{evaluate_ports, score_ports, GatedPort};
+use std::collections::HashSet;
 use std::sync::Arc;
-use svserve::{serve, Client, Router, ServeHandle};
+use svcorpus::{App, Model};
+use svmetrics::Measured;
+use svserve::{serve, Client, Router, ServeHandle, TedCache};
 
 fn start_server() -> (ServeHandle, Arc<AnalysisService>) {
     let service = AnalysisService::new(1 << 22);
@@ -26,6 +31,10 @@ fn counter(client: &mut Client, name: &str) -> f64 {
     num(m.get("counters").and_then(|c| c.get(name)))
 }
 
+fn jobs_submitted(handle: &ServeHandle) -> f64 {
+    num(handle.stats_json().get("pool").and_then(|p| p.get("jobs_submitted")))
+}
+
 #[test]
 fn evaluate_ranks_100_candidates_through_a_live_server() {
     let (handle, _service) = start_server();
@@ -40,12 +49,17 @@ fn evaluate_ranks_100_candidates_through_a_live_server() {
         ("csv", Json::Bool(true)),
     ]);
 
-    // Cold evaluation: every unique candidate is compiled, gated, and
-    // scored as its own pool job.
+    // Cold evaluation: one pool job, in which every unique candidate is
+    // compiled, gated, and scored once.
+    let submitted = jobs_submitted(&handle);
     let cold = client.call("evaluate", params.clone()).unwrap();
+    assert_eq!(jobs_submitted(&handle), submitted + 1.0, "each evaluate is one pool job");
     assert_eq!(num(cold.get("candidates")), 100.0);
     let rows = cold.get("rows").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 100, "one leaderboard row per candidate");
+    let distinct: HashSet<&str> =
+        rows.iter().filter_map(|r| r.get("fingerprint").and_then(Json::as_str)).collect();
+    assert!(distinct.len() < rows.len(), "the population holds duplicate sources");
 
     // The gate produced a mixed population and the ranking respects it:
     // only correct candidates may score above zero, scores descend.
@@ -75,13 +89,15 @@ fn evaluate_ranks_100_candidates_through_a_live_server() {
     assert!(csv.starts_with("rank,candidate,model,class,score"), "csv header");
 
     let builds_cold = counter(&mut client, "service.cand_builds");
-    assert!(builds_cold >= 1.0, "cold evaluation built candidates");
+    assert_eq!(builds_cold, distinct.len() as f64, "a cold run builds each distinct source once");
     let memo_hits_cold = counter(&mut client, "service.cand_memo_hits");
 
     // Warm evaluation: identical request, identical leaderboard — but the
     // candidate memo skips every compile + interpret, and the baseline
     // divergences come straight out of the TED cache.
+    let submitted = jobs_submitted(&handle);
     let warm = client.call("evaluate", params).unwrap();
+    assert_eq!(jobs_submitted(&handle), submitted + 1.0, "each evaluate is one pool job");
     assert_eq!(
         warm.get("text").and_then(Json::as_str),
         Some(text.as_str()),
@@ -101,17 +117,6 @@ fn evaluate_ranks_100_candidates_through_a_live_server() {
         "duplicate candidates route their TBMD through the TED cache"
     );
 
-    // The fan-out accounted one pool job per submitted candidate:
-    // executions + in-flight dedups cover all submissions.
-    let stats = handle.stats_json();
-    let pool = stats.get("pool").unwrap();
-    let submitted = num(pool.get("jobs_submitted"));
-    assert!(submitted >= 200.0, "two evaluations fan out 100 sub-jobs each");
-    assert_eq!(
-        num(pool.get("jobs_executed")) + num(pool.get("jobs_deduped")),
-        submitted,
-        "every sub-job either executed or deduped in flight"
-    );
     handle.shutdown();
 }
 
@@ -149,14 +154,14 @@ fn evaluate_rejects_bad_populations_and_unknown_apps() {
         .unwrap_err();
     assert_eq!(err.code, "not_found");
 
-    // The fan-out method is advertised alongside the plain handlers.
+    // `evaluate` is advertised alongside the other handlers.
     let methods = client.call("methods", Json::Null).unwrap();
     let names: Vec<&str> = methods.as_array().unwrap().iter().filter_map(Json::as_str).collect();
     assert!(names.contains(&"evaluate"), "methods advertises evaluate: {names:?}");
     handle.shutdown();
 }
 
-/// Offline `svport::evaluate` on a fixed population: the gate-class counts
+/// Offline `evaluate_ports` on a fixed population: the gate-class counts
 /// and the rendered leaderboard are pinned, so a change in the
 /// interpreter's semantics or step accounting cannot silently reclassify
 /// candidates.  The class counts date from before the interpreter stopped
@@ -165,7 +170,7 @@ fn evaluate_rejects_bad_populations_and_unknown_apps() {
 /// (same classes, same `tbmd_src`).
 #[test]
 fn offline_evaluate_gate_classes_are_pinned() {
-    let board = svport::evaluate(svcorpus::App::BabelStream, 48, 5).expect("evaluate");
+    let board = evaluate_ports(App::BabelStream, 48, 5).expect("evaluate");
     let counts = board.class_counts().map(|(c, n)| (c.name(), n));
     let text = board.render();
     let digest = svtree::intern::fnv64(&text);
@@ -179,7 +184,7 @@ fn offline_evaluate_gate_classes_are_pinned() {
     );
 }
 
-/// The library scorer and the served `evaluate` agree bit for bit on both
+/// The offline scorer and the served `evaluate` agree bit for bit on both
 /// TBMD columns: each is Eq. 7's divergence from the baseline, normalised
 /// by the candidate's tree size.
 #[test]
@@ -211,7 +216,7 @@ fn library_and_served_tbmd_are_bit_equal() {
         })
         .collect();
 
-    let board = svport::evaluate(svcorpus::App::BabelStream, 60, 7).expect("evaluate");
+    let board = evaluate_ports(App::BabelStream, 60, 7).expect("evaluate");
     assert_eq!(board.rows.len(), served.len());
     let bits = |v: Option<f64>| v.map(f64::to_bits);
     let mut scored = 0;
@@ -222,4 +227,38 @@ fn library_and_served_tbmd_are_bit_equal() {
         scored += usize::from(r.tbmd_sem.is_some());
     }
     assert!(scored > 0, "the population has built candidates");
+}
+
+/// The scorer ranks identically with and without a pair memo, cold and
+/// warm: the memo only changes where TBMD comes from, never its bits.
+#[test]
+fn scorer_with_a_memo_matches_the_plain_scorer_cold_and_warm() {
+    let (app, n, seed) = (App::BabelStream, 40, 3);
+    let plain = evaluate_ports(app, n, seed).expect("evaluate");
+
+    let cache = TedCache::new(1 << 22);
+    let baseline = svport::baseline_run(app).expect("baseline");
+    let base = svcorpus::unit(app, Model::Serial).expect("base unit");
+    let cands = svport::generate(app, n, seed);
+    let gate = |c: &svport::Candidate, _| {
+        Arc::new(GatedPort::new(svport::gate(app, c, &baseline), Some(&cache)))
+    };
+    let score = || score_ports(app, seed, &cands, &Measured::new(&base), gate, Some(&cache));
+    let cold = score();
+    let computed = cache.stats().misses;
+    assert!(computed > 0, "a cold memo computes its pairs");
+    let warm = score();
+    assert_eq!(cache.stats().misses, computed, "a warm memo computes nothing");
+
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    for (pass, board) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(board.render(), plain.render(), "{pass} leaderboard");
+        assert_eq!(board.rows.len(), plain.rows.len());
+        for (got, want) in board.rows.iter().zip(&plain.rows) {
+            assert_eq!((got.id, got.class, &got.detail), (want.id, want.class, &want.detail));
+            assert_eq!(bits(got.tbmd_sem), bits(want.tbmd_sem), "{pass} {} tbmd_sem", got.label);
+            assert_eq!(bits(got.tbmd_src), bits(want.tbmd_src), "{pass} {} tbmd_src", got.label);
+            assert_eq!(got.score.to_bits(), want.score.to_bits(), "{pass} {} score", got.label);
+        }
+    }
 }

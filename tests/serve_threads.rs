@@ -1,6 +1,6 @@
 //! The server's thread bound: one `evaluate` request fans its candidates
-//! out as pool jobs without starting a thread per candidate, and every
-//! server thread is gone soon after shutdown.
+//! out over the `svpar` pool without starting a thread per candidate, and
+//! every server thread is gone soon after shutdown.
 //!
 //! This file holds a single test, so no other test's threads run in the
 //! process while it counts.  It reads `Threads:` from `/proc/self/status`,
